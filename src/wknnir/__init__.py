@@ -23,7 +23,6 @@ from .ensemble import (
     EnsembleMember,
     EnsembleModel,
     SamplingStrategy,
-    predict_ensemble,
     sample_without_replacement,
     sampling_probabilities,
     train_ensemble,
@@ -48,14 +47,7 @@ from .evaluation import (
     tune_hyperparameters,
     tuned_learner,
 )
-from .imbalance import (
-    ImbalanceReport,
-    dataset_local_imbalance,
-    entity_importance,
-    imbalance_report,
-    pair_imbalance_matrices,
-    pair_local_imbalance,
-)
+from .imbalance import ImbalanceReport, imbalance_report
 from .models import (
     TRANSDUCTIVE_ERROR,
     PairQuery,
@@ -65,11 +57,9 @@ from .models import (
     build_recovery,
     fit_wknn,
     fit_wknnir,
-    predict_wknn,
-    predict_wknnir,
     split_query,
 )
-from .neighbors import NeighborList, knn, neighbor_table, project
+from .neighbors import neighbor_table
 
 __version__ = "0.1.0"
 
@@ -84,16 +74,9 @@ __all__ = [
     "subset",
     "validate_dataset",
     "write_matrix",
-    "NeighborList",
-    "knn",
     "neighbor_table",
-    "project",
     "ImbalanceReport",
-    "dataset_local_imbalance",
-    "entity_importance",
     "imbalance_report",
-    "pair_imbalance_matrices",
-    "pair_local_imbalance",
     "PairQuery",
     "RecoverySet",
     "WkNNModel",
@@ -102,8 +85,6 @@ __all__ = [
     "build_recovery",
     "fit_wknn",
     "fit_wknnir",
-    "predict_wknn",
-    "predict_wknnir",
     "split_query",
     "SamplingStrategy",
     "EnsembleMember",
@@ -111,7 +92,6 @@ __all__ = [
     "sampling_probabilities",
     "sample_without_replacement",
     "train_ensemble",
-    "predict_ensemble",
     "SETTINGS",
     "OUTER_FOLDS",
     "INNER_FOLDS",

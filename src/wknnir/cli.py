@@ -40,7 +40,6 @@ from .evaluation import (
     tune_hyperparameters,
     tuned_learner,
 )
-from .imbalance import imbalance_report
 from .models import build_recovery
 
 __all__ = ["main"]
@@ -115,16 +114,16 @@ def cmd_validate(args) -> int:
 def cmd_stats(args) -> int:
     ds = _load(args)
     stats = dataset_stats(ds, args.k)
-    report = imbalance_report(ds, args.k)
+    report = stats.imbalance
     payload = {
         "n": stats.n,
         "m": stats.m,
         "interaction_count": stats.interaction_count,
         "sparsity": float(stats.sparsity),
         "sparsity_fraction": f"{stats.sparsity.numerator}/{stats.sparsity.denominator}",
-        "k": stats.k_used,
-        "li_drug": stats.li_drug,
-        "li_target": stats.li_target,
+        "k": report.k,
+        "li_drug": report.li_drug,
+        "li_target": report.li_target,
         "drug_importance": [float(x) for x in report.drug_importance],
         "target_importance": [float(x) for x in report.target_importance],
     }
@@ -296,13 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, IndexError, OSError) as exc:  # DatasetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .imbalance import ImbalanceReport, imbalance_report
+
 __all__ = [
     "DatasetError",
     "Finding",
@@ -92,9 +94,7 @@ class DatasetStats:
     m: int
     interaction_count: int
     sparsity: Fraction
-    li_drug: float
-    li_target: float
-    k_used: int
+    imbalance: ImbalanceReport
 
 
 def _check_similarity(sim: np.ndarray, label: str, size: int, findings: list[Finding]):
@@ -106,7 +106,7 @@ def _check_similarity(sim: np.ndarray, label: str, size: int, findings: list[Fin
             Finding("error", f"{label} similarity side {sim.shape[0]} does not match {label} count {size}")
         )
         return
-    if np.any(sim < 0) or np.any(sim > 1):
+    if not np.all((sim >= 0) & (sim <= 1)):  # phrased so that NaN fails too
         findings.append(Finding("error", f"{label} similarity values outside [0, 1]"))
     bad_diag = np.flatnonzero(np.abs(np.diag(sim) - 1.0) > DIAGONAL_TOL)
     if bad_diag.size:
@@ -286,20 +286,9 @@ def subset(ds: DtiDataset, drug_idx, target_idx) -> DtiDataset:
 
 
 def dataset_stats(ds: DtiDataset, k: int) -> DatasetStats:
-    """Counts, exact sparsity, and dataset-level local imbalance at size k."""
-    from . import imbalance  # local import; imbalance type-checks against this module
-
+    """Counts, exact sparsity, and the local-imbalance report at size k."""
     n, m = ds.n, ds.m
     if not 1 <= k <= min(n, m) - 1:
         raise ValueError(f"k={k} out of range [1, {min(n, m) - 1}]")
     count = int(round(float(ds.interactions.sum())))
-    li_d, li_t = imbalance.dataset_local_imbalance(ds, k)
-    return DatasetStats(
-        n=n,
-        m=m,
-        interaction_count=count,
-        sparsity=Fraction(count, n * m),
-        li_drug=li_d,
-        li_target=li_t,
-        k_used=k,
-    )
+    return DatasetStats(n, m, count, Fraction(count, n * m), imbalance_report(ds, k))

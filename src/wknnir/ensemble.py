@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DtiDataset, subset
-from .imbalance import entity_importance
+from .imbalance import imbalance_report
 from .models import PairQuery, WkNNIRModel, WkNNModel, _check_profiles, split_query
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "sampling_probabilities",
     "sample_without_replacement",
     "train_ensemble",
-    "predict_ensemble",
 ]
 
 STRATEGY_KINDS = ("uniform", "global", "local")
@@ -74,55 +73,39 @@ class EnsembleModel:
     def q(self) -> int:
         return len(self.members)
 
-    def predict_s2(self, drug_profiles) -> np.ndarray:
-        """Score new drugs against every training target: (U, n) -> (U, m)."""
-        profiles = _check_profiles(drug_profiles, self.dataset.n, "drug")
-        acc = np.zeros((profiles.shape[0], self.dataset.m))
-        cnt = np.zeros(self.dataset.m)
+    def _selective_average(self, profiles, new_drugs: bool):
+        """S2 (new drugs) or S3 (new targets) scores: (U, query side) -> (U, other side).
+
+        Each member answers for the entities of its own sample, and the
+        answers are averaged per entity. An entity that no member sampled
+        is answered as a both-new pair from its similarity profile.
+        """
+        answer_sim = self.dataset.target_sim if new_drugs else self.dataset.drug_sim
+        acc = np.zeros((profiles.shape[0], answer_sim.shape[0]))
+        cnt = np.zeros(answer_sim.shape[0])
         for mem in self.members:
-            acc[:, mem.target_subset] += mem.model.predict_s2(profiles[:, mem.drug_subset])
-            cnt[mem.target_subset] += 1
+            if new_drugs:
+                query, answered, predict = mem.drug_subset, mem.target_subset, mem.model.predict_s2
+            else:
+                query, answered, predict = mem.target_subset, mem.drug_subset, mem.model.predict_s3
+            acc[:, answered] += predict(profiles[:, query])
+            cnt[answered] += 1
         out = np.zeros_like(acc)
         covered = cnt > 0
         out[:, covered] = acc[:, covered] / cnt[covered]
-        for v in np.flatnonzero(~covered):
-            out[:, v] = self._fallback_s2_column(profiles, v)
+        missing = np.flatnonzero(~covered)
+        if missing.size:
+            rows = answer_sim[missing]
+            out[:, missing] = self.predict_s4(profiles, rows) if new_drugs else self.predict_s4(rows, profiles).T
         return out
 
-    def _fallback_s2_column(self, profiles, v):
-        # No member sampled target v: every member answers with v turned
-        # into a new-target profile, i.e. a both-new query.
-        tprof = self.dataset.target_sim[v]
-        col = np.zeros(profiles.shape[0])
-        for mem in self.members:
-            col += mem.model.predict_s4(
-                profiles[:, mem.drug_subset], tprof[mem.target_subset][None, :]
-            )[:, 0]
-        return col / self.q
+    def predict_s2(self, drug_profiles) -> np.ndarray:
+        """Score new drugs against every training target: (U, n) -> (U, m)."""
+        return self._selective_average(_check_profiles(drug_profiles, self.dataset.n, "drug"), new_drugs=True)
 
     def predict_s3(self, target_profiles) -> np.ndarray:
         """Score new targets against every training drug: (V, m) -> (V, n)."""
-        profiles = _check_profiles(target_profiles, self.dataset.m, "target")
-        acc = np.zeros((profiles.shape[0], self.dataset.n))
-        cnt = np.zeros(self.dataset.n)
-        for mem in self.members:
-            acc[:, mem.drug_subset] += mem.model.predict_s3(profiles[:, mem.target_subset])
-            cnt[mem.drug_subset] += 1
-        out = np.zeros_like(acc)
-        covered = cnt > 0
-        out[:, covered] = acc[:, covered] / cnt[covered]
-        for u in np.flatnonzero(~covered):
-            out[:, u] = self._fallback_s3_column(profiles, u)
-        return out
-
-    def _fallback_s3_column(self, profiles, u):
-        dprof = self.dataset.drug_sim[u]
-        col = np.zeros(profiles.shape[0])
-        for mem in self.members:
-            col += mem.model.predict_s4(
-                dprof[mem.drug_subset][None, :], profiles[:, mem.target_subset]
-            )[0, :]
-        return col / self.q
+        return self._selective_average(_check_profiles(target_profiles, self.dataset.m, "target"), new_drugs=False)
 
     def predict_s4(self, drug_profiles, target_profiles) -> np.ndarray:
         """Score new drugs x new targets: (U, n), (V, m) -> (U, V)."""
@@ -147,11 +130,13 @@ def sampling_probabilities(ds: DtiDataset, strategy: SamplingStrategy):
     n, m = ds.n, ds.m
     if strategy.kind == "uniform":
         return np.full(n, 1.0 / n), np.full(m, 1.0 / m)
-    if strategy.kind == "global":
+    if strategy.kind == "global" or not ds.interactions.any():
+        # Without interactions every importance is zero, as is every count.
         drug_w = ds.interactions.sum(axis=1)
         target_w = ds.interactions.sum(axis=0)
     else:
-        drug_w, target_w = entity_importance(ds, strategy.k)
+        report = imbalance_report(ds, strategy.k)
+        drug_w, target_w = report.drug_importance, report.target_importance
     sigma = strategy.sigma
     return (
         (sigma + drug_w) / (n * sigma + drug_w.sum()),
@@ -225,6 +210,3 @@ def train_ensemble(
         members.append(EnsembleMember(model, drugs, targets))
     return EnsembleModel(ds, tuple(members), _base_kind(members[0].model))
 
-
-def predict_ensemble(ens: EnsembleModel, q: PairQuery) -> float:
-    return ens.predict(q)

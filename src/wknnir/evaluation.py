@@ -185,6 +185,8 @@ def aupr(scores, labels) -> float:
         raise ValueError(f"scores and labels differ in length: {s.shape} vs {y.shape}")
     if s.size == 0:
         raise ValueError("empty input")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
     if not np.isin(np.unique(y), (0.0, 1.0)).all():
         raise ValueError("labels must be binary")
     positives = y.sum()

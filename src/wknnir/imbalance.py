@@ -19,21 +19,19 @@ from .neighbors import neighbor_table
 if TYPE_CHECKING:
     from .data import DtiDataset
 
-__all__ = [
-    "pair_local_imbalance",
-    "pair_imbalance_matrices",
-    "dataset_local_imbalance",
-    "entity_importance",
-    "ImbalanceReport",
-    "imbalance_report",
-]
-
-SIDES = ("drug", "target")
+__all__ = ["ImbalanceReport", "imbalance_report"]
 
 
 @dataclass(frozen=True)
 class ImbalanceReport:
-    """Dataset-level imbalance and per-entity importances at one k."""
+    """Dataset-level imbalance and per-entity importances at one k.
+
+    ``li_drug`` and ``li_target`` average the pair imbalance over
+    interacting pairs. ``drug_importance[i]`` sums drug-side pair
+    imbalance over the targets drug i interacts with; higher means the
+    drug's interactions are harder to recover from its neighborhood.
+    Symmetrically for targets.
+    """
 
     k: int
     li_drug: float
@@ -47,7 +45,7 @@ def _check_k(k: int, limit: int, side: str):
         raise ValueError(f"k={k} out of range [1, {limit}] on the {side} side")
 
 
-def pair_imbalance_matrices(ds: "DtiDataset", k: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_imbalance_matrices(ds: "DtiDataset", k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair neighborhood disagreement rates, both sides at once.
 
     Returns ``(drug_pair, target_pair)``, each (n, m). ``drug_pair[i, j]``
@@ -67,62 +65,17 @@ def pair_imbalance_matrices(ds: "DtiDataset", k: int) -> tuple[np.ndarray, np.nd
     return drug_pair, target_pair
 
 
-def pair_local_imbalance(ds: "DtiDataset", i: int, j: int, k: int, side: str) -> float:
-    """Disagreement rate of Y[i, j] within one entity's k-neighborhood.
-
-    On the drug side this is the fraction of drug i's k nearest drugs
-    (self excluded) whose label for target j differs from Y[i, j]; on the
-    target side, the fraction of target j's k nearest targets whose label
-    for drug i differs.
-    """
-    if side not in SIDES:
-        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
-    Y = ds.interactions
-    n, m = ds.n, ds.m
-    if not (0 <= i < n and 0 <= j < m):
-        raise IndexError(f"pair ({i}, {j}) out of range for a {n} x {m} dataset")
-    if side == "drug":
-        _check_k(k, n - 1, side)
-        nbr, _ = neighbor_table(ds.drug_sim, k)
-        return float((Y[nbr[i], j] != Y[i, j]).mean())
-    _check_k(k, m - 1, side)
-    nbr, _ = neighbor_table(ds.target_sim, k)
-    return float((Y[i, nbr[j]] != Y[i, j]).mean())
-
-
-def dataset_local_imbalance(ds: "DtiDataset", k: int) -> tuple[float, float]:
-    """Mean pair imbalance over interacting pairs, per side.
+def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
+    """All imbalance quantities at one k, ranking each similarity matrix once.
 
     Raises ``ValueError`` when the dataset has no interactions, since the
-    average is then undefined.
+    averages are then undefined.
     """
     Y = ds.interactions
     total = Y.sum()
     if total == 0:
         raise ValueError("no interactions; local imbalance is undefined")
-    drug_pair, target_pair = pair_imbalance_matrices(ds, k)
-    return float((drug_pair * Y).sum() / total), float((target_pair * Y).sum() / total)
-
-
-def entity_importance(ds: "DtiDataset", k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Summed pair imbalance of each entity's interactions.
-
-    ``drug_importance[i]`` adds drug-side pair imbalance over the targets
-    drug i interacts with; higher means the drug's interactions are
-    harder to recover from its neighborhood. Symmetrically for targets.
-    """
-    Y = ds.interactions
-    drug_pair, target_pair = pair_imbalance_matrices(ds, k)
-    return (drug_pair * Y).sum(axis=1), (target_pair * Y).sum(axis=0)
-
-
-def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
-    """All imbalance quantities at one k, computing neighbor tables once."""
-    Y = ds.interactions
-    total = Y.sum()
-    if total == 0:
-        raise ValueError("no interactions; local imbalance is undefined")
-    drug_pair, target_pair = pair_imbalance_matrices(ds, k)
+    drug_pair, target_pair = _pair_imbalance_matrices(ds, k)
     return ImbalanceReport(
         k=k,
         li_drug=float((drug_pair * Y).sum() / total),

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DtiDataset
-from .imbalance import dataset_local_imbalance
-from .neighbors import neighbor_table
+from .imbalance import imbalance_report
+from .neighbors import neighbor_table, top_k
 
 __all__ = [
     "PairQuery",
@@ -30,10 +30,8 @@ __all__ = [
     "WkNNIRModel",
     "RecoverySet",
     "fit_wknn",
-    "predict_wknn",
     "build_recovery",
     "fit_wknnir",
-    "predict_wknnir",
     "split_query",
     "TRANSDUCTIVE_ERROR",
 ]
@@ -69,8 +67,7 @@ def _query_part(value, size, side):
     profile = np.asarray(value, dtype=float)
     if profile.ndim != 1 or profile.shape[0] != size:
         raise ValueError(f"{side} profile must have length {size}, got shape {profile.shape}")
-    if profile.size and (profile.min() < 0 or profile.max() > 1):
-        raise ValueError(f"{side} profile values outside [0, 1]")
+    _check_unit_range(profile, side)
     return None, profile
 
 
@@ -94,36 +91,33 @@ def _check_params(k, eta):
         raise ValueError(f"eta must be in [0, 1], got {eta!r}")
 
 
+def _check_unit_range(values, side):
+    # Phrased so that NaN fails too.
+    if not np.all((values >= 0) & (values <= 1)):
+        raise ValueError(f"{side} profile values outside [0, 1]")
+
+
 def _check_profiles(profiles, width, side):
     profiles = np.asarray(profiles, dtype=float)
     if profiles.ndim != 2 or profiles.shape[1] != width:
         raise ValueError(f"{side} profiles must be 2-D with {width} columns, got shape {profiles.shape}")
-    if profiles.size and (profiles.min() < 0 or profiles.max() > 1):
-        raise ValueError(f"{side} profile values outside [0, 1]")
+    _check_unit_range(profiles, side)
     return profiles
 
 
-def _rank_profiles(profiles, k):
-    """Top-k training entities per profile row, ties to the lower index.
+def _decay_scores(idx, sims, labels, eta):
+    """Single-ring scores from ranked neighbors -> (U, C).
 
-    Returns ``(indices, sims)`` of shape (U, k'), k' = min(k, width).
+    ``idx`` and ``sims`` are (U, k) neighbor indices and similarities,
+    best first; ``labels`` is (L, C) over the neighbor candidates.
+    score[u, c] = sum_a eta^a * s[u, a] * labels[idx[u, a], c] / sum_a s[u, a]
+    with a running over ranks. Zero normalizer gives 0.
     """
-    order = np.argsort(-profiles, axis=1, kind="stable")[:, : min(k, profiles.shape[1])]
-    return order, np.take_along_axis(profiles, order, axis=1)
-
-
-def _one_side_scores(profiles, labels, k, eta):
-    """Single-ring scores: (U, L) profiles x (L, C) labels -> (U, C).
-
-    score[u, c] = sum_a eta^a * s[u, a] * labels[nbr(u, a), c] / sum_a s[u, a]
-    with a running over neighbor ranks. Zero normalizer gives 0.
-    """
-    idx, sims = _rank_profiles(profiles, k)
     decay = eta ** np.arange(idx.shape[1], dtype=float)
-    num = np.zeros((profiles.shape[0], labels.shape[1]))
-    z = np.zeros(profiles.shape[0])
-    # num and z accumulate in the same rank order, so an all-ones label
-    # column at eta=1 scores exactly 1.
+    num = np.zeros((idx.shape[0], labels.shape[1]))
+    z = np.zeros(idx.shape[0])
+    # num and z accumulate in the same rank order, so with eta <= 1 and
+    # labels in [0, 1] num <= z holds exactly and no score exceeds 1.
     for a in range(idx.shape[1]):
         num += (decay[a] * sims[:, a])[:, None] * labels[idx[:, a], :]
         z += sims[:, a]
@@ -138,10 +132,11 @@ def _pair_grid_scores(drug_profiles, target_profiles, labels, k, eta, r_drug=1.0
 
     The decay exponent for drug rank i' and target rank j' (1-based) is
     i'/r_drug + j'/r_target - 2; the normalizer sums the raw similarity
-    products and factorizes into the two per-side sums.
+    products and factorizes into the two per-side sums. That product can
+    round below the numerator, so scores are clamped at 1.
     """
-    d_idx, d_sims = _rank_profiles(drug_profiles, k)
-    t_idx, t_sims = _rank_profiles(target_profiles, k)
+    d_idx, d_sims = top_k(drug_profiles, k)
+    t_idx, t_sims = top_k(target_profiles, k)
     wd = d_sims * eta ** (np.arange(1, d_idx.shape[1] + 1, dtype=float) / r_drug - 1.0)
     wt = t_sims * eta ** (np.arange(1, t_idx.shape[1] + 1, dtype=float) / r_target - 1.0)
     num = np.zeros((d_idx.shape[0], t_idx.shape[0]))
@@ -153,7 +148,7 @@ def _pair_grid_scores(drug_profiles, target_profiles, labels, k, eta, r_drug=1.0
     z = d_sims.sum(axis=1)[:, None] * t_sims.sum(axis=1)[None, :]
     out = np.zeros_like(num)
     np.divide(num, z, out=out, where=z > 0)
-    return out
+    return np.minimum(out, 1.0, out=out)
 
 
 class _NeighborPredictor:
@@ -174,12 +169,12 @@ class _NeighborPredictor:
     def predict_s2(self, drug_profiles) -> np.ndarray:
         """Score new drugs against every training target: (U, n) -> (U, m)."""
         profiles = _check_profiles(drug_profiles, self.dataset.n, "drug")
-        return _one_side_scores(profiles, self._labels_s2(), self.k, self.eta)
+        return _decay_scores(*top_k(profiles, self.k), self._labels_s2(), self.eta)
 
     def predict_s3(self, target_profiles) -> np.ndarray:
         """Score new targets against every training drug: (V, m) -> (V, n)."""
         profiles = _check_profiles(target_profiles, self.dataset.m, "target")
-        return _one_side_scores(profiles, self._labels_s3().T, self.k, self.eta)
+        return _decay_scores(*top_k(profiles, self.k), self._labels_s3().T, self.eta)
 
     def predict_s4(self, drug_profiles, target_profiles) -> np.ndarray:
         """Score new drugs x new targets: (U, n), (V, m) -> (U, V)."""
@@ -239,21 +234,14 @@ def _recover_rows(sim, Y, k, eta):
     """Rebuild each row of Y from its k nearest rows under ``sim``.
 
     Row i becomes sum_h eta^(h'-1) * sim[i, h] * Y[h, :] / sum_h sim[i, h]
-    over the self-excluded neighbors h of i; a zero normalizer (or no
-    neighbors at all) leaves the original row.
+    over the self-excluded neighbors h of i. A zero normalizer gives a
+    zero row and a lone entity keeps its row; either way the max with Y
+    in ``build_recovery`` leaves the original.
     """
     n = sim.shape[0]
-    out = np.array(Y, dtype=float)
     if n < 2:
-        return out
-    idx, sims = neighbor_table(sim, min(k, n - 1))
-    w = sims * eta ** np.arange(idx.shape[1], dtype=float)
-    num = np.zeros_like(out)
-    for a in range(idx.shape[1]):
-        num += w[:, a][:, None] * Y[idx[:, a], :]
-    z = sims.sum(axis=1)[:, None]
-    np.divide(num, z, out=out, where=z > 0)
-    return out
+        return np.array(Y, dtype=float)
+    return _decay_scores(*neighbor_table(sim, k), Y, eta)
 
 
 def _local_imbalance_or_zero(ds, k):
@@ -261,7 +249,8 @@ def _local_imbalance_or_zero(ds, k):
     # no disagreement evidence; treat their imbalance as zero.
     if ds.n < 2 or ds.m < 2 or ds.interactions.sum() == 0:
         return 0.0, 0.0
-    return dataset_local_imbalance(ds, min(k, ds.n - 1, ds.m - 1))
+    report = imbalance_report(ds, min(k, ds.n - 1, ds.m - 1))
+    return report.li_drug, report.li_target
 
 
 def build_recovery(ds: DtiDataset, k: int, eta: float) -> RecoverySet:
@@ -312,10 +301,6 @@ def fit_wknn(ds: DtiDataset, k: int, eta: float) -> WkNNModel:
     return WkNNModel(ds, int(k), float(eta))
 
 
-def predict_wknn(model: WkNNModel, q: PairQuery) -> float:
-    return model.predict(q)
-
-
 def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
     """Precompute the recovery set and the per-side decay rescalers."""
     recovery = build_recovery(ds, k, eta)
@@ -329,7 +314,3 @@ def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
         r_drug=min(1.0, li_drug / li_target),
         r_target=min(1.0, li_target / li_drug),
     )
-
-
-def predict_wknnir(model: WkNNIRModel, q: PairQuery) -> float:
-    return model.predict(q)

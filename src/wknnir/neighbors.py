@@ -7,44 +7,20 @@ which makes neighbor lists deterministic for any input.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-__all__ = ["NeighborList", "knn", "neighbor_table", "project"]
+__all__ = ["neighbor_table", "top_k"]
 
 
-class NeighborList(NamedTuple):
-    indices: np.ndarray  # (k,) candidate indices, best first
-    similarities: np.ndarray  # (k,) matching similarity values
+def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k most similar columns of every row, ties to the lower index.
 
-
-def _ranked(similarities: np.ndarray) -> np.ndarray:
-    # Stable sort on negated values: descending similarity, ascending index on ties.
-    return np.argsort(-similarities, axis=-1, kind="stable")
-
-
-def knn(similarities, k: int, exclude=None) -> NeighborList:
-    """Pick the k most similar candidates from one similarity vector.
-
-    ``exclude`` removes candidate indices (e.g. the query itself) before
-    ranking. k is capped at the number of remaining candidates; zero
-    similarities are kept (they carry zero weight downstream).
+    Returns ``(indices, similarities)``, each of shape (rows, k') with
+    k' = min(k, columns), row i holding its picks best first.
     """
-    sims = np.asarray(similarities, dtype=float)
-    if sims.ndim != 1:
-        raise ValueError(f"expected a similarity vector, got shape {sims.shape}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    candidates = np.arange(sims.shape[0])
-    if exclude is not None:
-        keep = ~np.isin(candidates, np.fromiter(exclude, dtype=int))
-        candidates = candidates[keep]
-        sims = sims[keep]
-    if candidates.shape[0] == 0:
-        raise ValueError("no selectable candidates")
-    order = _ranked(sims)[: min(k, candidates.shape[0])]
-    return NeighborList(candidates[order], sims[order])
+    # Stable sort on negated values: descending similarity, ascending index on ties.
+    order = np.argsort(-similarities, axis=1, kind="stable")[:, : min(k, similarities.shape[1])]
+    return order, np.take_along_axis(similarities, order, axis=1)
 
 
 def neighbor_table(similarity: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -60,22 +36,10 @@ def neighbor_table(similarity: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"expected a square matrix, got shape {sim.shape}")
     if k < 1 or n < 2:
         raise ValueError(f"need k >= 1 and at least 2 entities, got k={k}, n={n}")
-    order = _ranked(sim)
-    keep = order != np.arange(n)[:, None]
-    indices = order[keep].reshape(n, n - 1)[:, : min(k, n - 1)]
-    return indices, np.take_along_axis(sim, indices, axis=1)
-
-
-def project(similarities, training_indices) -> np.ndarray:
-    """Restrict similarity vectors to a training subset, preserving order.
-
-    Accepts a vector or a matrix whose last axis runs over all entities;
-    the result's last axis runs over ``training_indices``. Used to turn a
-    full similarity profile into a profile against an ensemble member's
-    sample.
-    """
-    sims = np.asarray(similarities, dtype=float)
-    idx = np.asarray(training_indices, dtype=int)
-    if idx.ndim != 1:
-        raise ValueError(f"training_indices must be 1-D, got shape {idx.shape}")
-    return sims[..., idx]
+    k = min(k, n - 1)
+    # One spare pick per row: drop entity i where it was picked, the
+    # spare everywhere else.
+    indices, sims = top_k(sim, k + 1)
+    keep = indices != np.arange(n)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    return indices[keep].reshape(n, k), sims[keep].reshape(n, k)

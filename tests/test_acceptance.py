@@ -36,7 +36,6 @@ from wknnir import (
     ensemble_factory,
     fit_wknn,
     fit_wknnir,
-    knn,
     aupr,
     run_cv,
     sampling_probabilities,
@@ -48,7 +47,7 @@ from wknnir import (
 from wknnir.cli import main
 from conftest import random_dataset
 from test_evaluation import oracle_aupr
-from test_neighbors import oracle_knn
+from test_neighbors import assert_matches_oracle
 
 DATASETS = ("nr", "ic", "gpcr", "e")
 DATA_ENV = "WKNNIR_DATA_DIR"
@@ -152,10 +151,10 @@ class TestReferenceLocalImbalance:
     def test_li_at_k5_matches_reference(self, name):
         ds = benchmark(name)
         assert (ds.n, ds.m, int(ds.interactions.sum())) == SHAPES[name]
-        stats = dataset_stats(ds, 5)
+        report = dataset_stats(ds, 5).imbalance
         li_drug, li_target = LI_REFERENCE[name]
-        assert stats.li_drug == pytest.approx(li_drug, abs=LI_TOLERANCE)
-        assert stats.li_target == pytest.approx(li_target, abs=LI_TOLERANCE)
+        assert report.li_drug == pytest.approx(li_drug, abs=LI_TOLERANCE)
+        assert report.li_target == pytest.approx(li_target, abs=LI_TOLERANCE)
 
 
 class TestReferenceSparsity:
@@ -205,17 +204,15 @@ class TestPredictionBounds:
         rng = np.random.default_rng(seed)
         return rng.random((600, n)), rng.random((600, m)), rng.random((60, n)), rng.random((50, m))
 
-    @pytest.mark.parametrize("method", ["wknn", "wknnir", "ensemble"])
-    def test_bounds_hold_on_random_queries(self, method):
-        # 600x9 + 600x12 + 60x50 = 13,800 scored pairs per predictor.
-        ds = random_dataset(12, 9, seed=100)
+    def _model(self, method, ds, k, eta):
         if method == "ensemble":
-            model = train_ensemble(
-                ds, lambda sub: fit_wknnir(sub, 3, 0.7), 6, 0.8, SamplingStrategy("local", k=2), seed=3
+            return train_ensemble(
+                ds, lambda sub: fit_wknnir(sub, k, eta), 6, 0.8, SamplingStrategy("local", k=2), seed=3
             )
-        else:
-            model = base_factory(method)(ds, 3, 0.7)
-        s2_profiles, s3_profiles, s4_drugs, s4_targets = self._queries(12, 9, seed=101)
+        return base_factory(method)(ds, k, eta)
+
+    def _scored_pairs_in_bounds(self, model, n, m, seed):
+        s2_profiles, s3_profiles, s4_drugs, s4_targets = self._queries(n, m, seed)
         total = 0
         for scores in (
             model.predict_s2(s2_profiles),
@@ -224,14 +221,31 @@ class TestPredictionBounds:
         ):
             assert np.all(scores >= 0) and np.all(scores <= 1)
             total += scores.size
-        assert total >= 10_000
+        return total
+
+    @pytest.mark.parametrize("method", ["wknn", "wknnir", "ensemble"])
+    def test_bounds_hold_on_random_queries(self, method):
+        # 600x9 + 600x12 + 60x50 = 13,800 scored pairs per predictor.
+        model = self._model(method, random_dataset(12, 9, seed=100), 3, 0.7)
+        assert self._scored_pairs_in_bounds(model, 12, 9, seed=101) >= 10_000
+        # With almost every label 1 and no decay, each score sits at the
+        # top of its range, where rounding alone can push it above 1.
+        dense = random_dataset(14, 12, seed=102, density=0.95)
+        for k in (5, 8, 9):
+            self._scored_pairs_in_bounds(self._model(method, dense, k, 1.0), 14, 12, seed=103 + k)
 
 
 class TestRecoveryDominance:
     def test_recovered_matrices_dominate_and_keep_known_interactions(self):
-        for seed in range(30):
-            ds = random_dataset(5 + seed % 6, 4 + seed % 5, seed=seed)
-            rec = build_recovery(ds, 1 + seed % 4, 0.1 + 0.09 * (seed % 10))
+        cases = [
+            (random_dataset(5 + seed % 6, 4 + seed % 5, seed=seed), 1 + seed % 4, 0.1 + 0.09 * (seed % 10))
+            for seed in range(30)
+        ]
+        # Large k, no decay and almost all ones: where the normalizer must
+        # not round below the numerator.
+        cases += [(random_dataset(14, 12, seed=500 + seed, density=0.95), k, 1.0) for seed in range(20) for k in (8, 9)]
+        for ds, k, eta in cases:
+            rec = build_recovery(ds, k, eta)
             known = ds.interactions == 1
             for matrix in (rec.y_drug, rec.y_target, rec.y_joint):
                 assert np.all(matrix >= ds.interactions)
@@ -268,16 +282,14 @@ class TestFormulaReductions:
 
 class TestOracleAgreement:
     def test_knn_matches_bruteforce_oracle(self):
+        # top_k on every row and neighbor_table (self excluded) on square
+        # matrices, both against a full sort by (-similarity, index).
         rng = np.random.default_rng(200)
         for _ in range(1000):
             size = int(rng.integers(2, 25))
-            sims = rng.integers(0, 6, size) / 5.0  # coarse grid forces ties
-            k = int(rng.integers(1, size + 1))
-            exclude = tuple(rng.choice(size, size=rng.integers(0, size - 1), replace=False))
-            got = knn(sims, k, exclude=exclude)
-            expected_idx, expected_sims = oracle_knn(sims.tolist(), k, exclude)
-            np.testing.assert_array_equal(got.indices, expected_idx)
-            np.testing.assert_allclose(got.similarities, expected_sims, atol=1e-12)
+            rows = size if rng.random() < 0.5 else int(rng.integers(1, 4))
+            sims = rng.integers(0, 6, (rows, size)) / 5.0  # coarse grid forces ties
+            assert_matches_oracle(sims, int(rng.integers(1, size + 1)))
 
     def test_aupr_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(201)

@@ -86,10 +86,16 @@ class TestStats:
         assert payload["sparsity"] == float(frac)
         assert payload["sparsity_fraction"] == f"{frac.numerator}/{frac.denominator}"
         assert payload["k"] == 2
-        assert payload["li_drug"] == stats.li_drug
-        assert payload["li_target"] == stats.li_target
+        assert payload["li_drug"] == stats.imbalance.li_drug
+        assert payload["li_target"] == stats.imbalance.li_target
         assert len(payload["drug_importance"]) == 8
         assert len(payload["target_importance"]) == 6
+
+    def test_no_interactions_is_an_error(self, data_files, capsys):
+        ds, paths = data_files
+        write_matrix(paths["interactions"], np.zeros((8, 6)), ds.drug_ids, ds.target_ids)
+        assert main(["stats", *dataset_args(paths), "--k", "2"]) == 1
+        assert "no interactions" in capsys.readouterr().err
 
     def test_out_file_matches_stdout(self, data_files, tmp_path, capsys):
         _, paths = data_files

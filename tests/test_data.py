@@ -158,6 +158,13 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="non-numeric"):
             load_dataset(*paths)
 
+    def test_nan_similarity_rejected(self, tmp_path):
+        # "nan" parses as a float, so the range check itself must catch it.
+        _, paths = write_f1(tmp_path)
+        paths[1].write_text(paths[1].read_text().replace("0.8", "nan"))
+        with pytest.raises(DatasetError, match="drug similarity values outside"):
+            load_dataset(*paths)
+
     def test_unknown_orientation_rejected(self, tmp_path):
         _, paths = write_f1(tmp_path)
         with pytest.raises(DatasetError, match="orientation"):
@@ -175,8 +182,9 @@ class TestDatasetStats:
         stats = dataset_stats(f1, 1)
         assert stats.interaction_count == 4
         assert stats.sparsity == Fraction(2, 3)
-        assert stats.li_drug == 0.75
-        assert stats.li_target == 0.5
+        assert stats.imbalance.li_drug == 0.75
+        assert stats.imbalance.li_target == 0.5
+        assert stats.imbalance.k == 1
 
     def test_sparsity_is_exact(self):
         # integer identity: sparsity * n * m == interaction count, no float error

@@ -10,7 +10,6 @@ from wknnir import (
     SamplingStrategy,
     fit_wknn,
     fit_wknnir,
-    predict_ensemble,
     sample_without_replacement,
     sampling_probabilities,
     subset,
@@ -63,6 +62,16 @@ class TestSamplingProbabilities:
         # Importances at k=1: drugs [1, 1, 1], targets [1, 1]; smoothing
         # washes out into uniform weights on both sides.
         p_drug, p_target = sampling_probabilities(f1, SamplingStrategy("local", k=1))
+        np.testing.assert_allclose(p_drug, np.full(3, 1.0 / 3), atol=1e-15)
+        np.testing.assert_allclose(p_target, np.full(2, 1.0 / 2), atol=1e-15)
+
+    def test_local_without_interactions_is_uniform(self):
+        ds = make_dataset(
+            [[1.0, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.0]],
+            [[1.0, 0.5], [0.5, 1.0]],
+            [[0, 0], [0, 0], [0, 0]],
+        )
+        p_drug, p_target = sampling_probabilities(ds, SamplingStrategy("local", k=1))
         np.testing.assert_allclose(p_drug, np.full(3, 1.0 / 3), atol=1e-15)
         np.testing.assert_allclose(p_target, np.full(2, 1.0 / 2), atol=1e-15)
 
@@ -220,7 +229,6 @@ class TestSingleMemberEquivalence:
         assert ens.predict(PairQuery(prof_d, 1)) == ens.predict_s2(prof_d[None, :])[0, 1]
         assert ens.predict(PairQuery(0, prof_t)) == ens.predict_s3(prof_t[None, :])[0, 0]
         assert ens.predict(PairQuery(prof_d, prof_t)) == ens.predict_s4(prof_d[None, :], prof_t[None, :])[0, 0]
-        assert predict_ensemble(ens, PairQuery(prof_d, 1)) == ens.predict(PairQuery(prof_d, 1))
 
 
 class TestSelectiveAveraging:

@@ -119,6 +119,8 @@ class TestAupr:
             ([], [], "empty"),
             ([0.5, 0.4], [1, 2], "binary"),
             ([0.5, 0.4], [0, 0], "no positive"),
+            ([float("nan"), 0.5, 0.2, float("nan")], [1, 0, 1, 0], "finite"),
+            ([float("inf"), 0.5], [1, 0], "finite"),
         ],
     )
     def test_rejects_bad_input(self, scores, labels, message):

@@ -3,13 +3,25 @@
 import numpy as np
 import pytest
 
-from wknnir import (
-    dataset_local_imbalance,
-    entity_importance,
-    imbalance_report,
-    pair_local_imbalance,
-)
+from wknnir import imbalance_report
+from wknnir.imbalance import _pair_imbalance_matrices
 from conftest import make_dataset, random_dataset
+
+
+def pair_local_imbalance(ds, i, j, k, side):
+    """One entry of the pair-imbalance matrix of one side."""
+    drug_pair, target_pair = _pair_imbalance_matrices(ds, k)
+    return float((drug_pair if side == "drug" else target_pair)[i, j])
+
+
+def dataset_local_imbalance(ds, k):
+    report = imbalance_report(ds, k)
+    return report.li_drug, report.li_target
+
+
+def entity_importance(ds, k):
+    report = imbalance_report(ds, k)
+    return report.drug_importance, report.target_importance
 
 
 def oracle_neighbors(sim, i, k):
@@ -42,10 +54,11 @@ class TestPairLocalImbalance:
         assert pair_local_imbalance(f1, 2, 1, 1, "drug") == 0.0
 
     def test_constant_column_gives_zero(self):
+        # Three targets, so that k=2 is in range on both sides.
         ds = make_dataset(
             [[1.0, 0.9, 0.3], [0.9, 1.0, 0.5], [0.3, 0.5, 1.0]],
-            [[1.0, 0.4], [0.4, 1.0]],
-            [[1, 0], [1, 1], [1, 0]],
+            [[1.0, 0.4, 0.2], [0.4, 1.0, 0.6], [0.2, 0.6, 1.0]],
+            [[1, 0, 1], [1, 1, 0], [1, 0, 0]],
         )
         for i in range(3):
             assert pair_local_imbalance(ds, i, 0, 2, "drug") == 0.0
@@ -69,14 +82,10 @@ class TestPairLocalImbalance:
                 assert (value * k) == int(round(value * k))
 
     def test_k_out_of_range(self, f1):
-        with pytest.raises(ValueError, match="out of range"):
-            pair_local_imbalance(f1, 0, 0, 3, "drug")
-        with pytest.raises(ValueError, match="out of range"):
-            pair_local_imbalance(f1, 0, 0, 2, "target")
-
-    def test_unknown_side(self, f1):
-        with pytest.raises(ValueError, match="side"):
-            pair_local_imbalance(f1, 0, 0, 1, "both")
+        with pytest.raises(ValueError, match="out of range .* drug side"):
+            _pair_imbalance_matrices(f1, 3)
+        with pytest.raises(ValueError, match="out of range .* target side"):
+            _pair_imbalance_matrices(f1, 2)
 
 
 class TestDatasetLocalImbalance:
@@ -170,10 +179,14 @@ class TestPermutationInvariance:
 
 
 class TestImbalanceReport:
-    def test_report_consistent_with_parts(self, f1):
-        report = imbalance_report(f1, 1)
-        assert (report.li_drug, report.li_target) == dataset_local_imbalance(f1, 1)
-        drug_imp, target_imp = entity_importance(f1, 1)
-        np.testing.assert_array_equal(report.drug_importance, drug_imp)
-        np.testing.assert_array_equal(report.target_importance, target_imp)
-        assert report.k == 1
+    def test_report_consistent_with_parts(self):
+        for seed in range(5):
+            ds = random_dataset(8, 6, seed)
+            report = imbalance_report(ds, 2)
+            drug_pair, target_pair = _pair_imbalance_matrices(ds, 2)
+            Y = ds.interactions
+            assert report.k == 2
+            assert report.li_drug == (drug_pair * Y).sum() / Y.sum()
+            assert report.li_target == (target_pair * Y).sum() / Y.sum()
+            np.testing.assert_array_equal(report.drug_importance, (drug_pair * Y).sum(axis=1))
+            np.testing.assert_array_equal(report.target_importance, (target_pair * Y).sum(axis=0))

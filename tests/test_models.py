@@ -10,8 +10,6 @@ from wknnir import (
     build_recovery,
     fit_wknn,
     fit_wknnir,
-    predict_wknn,
-    predict_wknnir,
 )
 from conftest import make_dataset, random_dataset
 
@@ -69,22 +67,22 @@ class TestFitValidation:
 class TestWkNNPredict:
     def test_f1_hand_value(self, f1):
         model = fit_wknn(f1, 2, 0.5)
-        score = predict_wknn(model, PairQuery(np.array([0.8, 0.4, 0.0]), 0))
+        score = model.predict(PairQuery(np.array([0.8, 0.4, 0.0]), 0))
         np.testing.assert_allclose(score, (1 * 0.8 * 1 + 0.5 * 0.4 * 0) / (0.8 + 0.4))
 
     def test_k1_nearest_positive_scores_one(self, f1):
         model = fit_wknn(f1, 1, 0.3)
-        assert predict_wknn(model, PairQuery(np.array([0.8, 0.4, 0.0]), 0)) == 1.0
+        assert model.predict(PairQuery(np.array([0.8, 0.4, 0.0]), 0)) == 1.0
 
     def test_zero_profile_scores_zero(self, f1):
         model = fit_wknn(f1, 2, 0.5)
-        assert predict_wknn(model, PairQuery(np.zeros(3), 0)) == 0.0
-        assert predict_wknn(model, PairQuery(np.zeros(3), np.zeros(2))) == 0.0
+        assert model.predict(PairQuery(np.zeros(3), 0)) == 0.0
+        assert model.predict(PairQuery(np.zeros(3), np.zeros(2))) == 0.0
 
     def test_transductive_rejected(self, f1):
         model = fit_wknn(f1, 2, 0.5)
         with pytest.raises(ValueError, match="transductive"):
-            predict_wknn(model, PairQuery(0, 1))
+            model.predict(PairQuery(0, 1))
 
     def test_bad_profiles_rejected(self, f1):
         model = fit_wknn(f1, 2, 0.5)
@@ -94,6 +92,13 @@ class TestWkNNPredict:
             model.predict(PairQuery(np.array([0.8, 0.4, 1.3]), 0))
         with pytest.raises(IndexError):
             model.predict(PairQuery(np.array([0.8, 0.4, 0.0]), 7))
+
+    def test_nan_profiles_rejected(self, f1):
+        model = fit_wknn(f1, 2, 0.5)
+        with pytest.raises(ValueError, match="drug profile values outside"):
+            model.predict(PairQuery(np.array([0.8, np.nan, 0.0]), 0))
+        with pytest.raises(ValueError, match="target profile values outside"):
+            model.predict_s3(np.array([[0.5, 0.2], [np.nan, 0.1]]))
 
     def test_matches_oracle_all_settings(self):
         rng = np.random.default_rng(17)
@@ -203,6 +208,17 @@ class TestRecovery:
         np.testing.assert_array_equal(rec.y_target, ds.interactions)
         np.testing.assert_array_equal(rec.y_joint, ds.interactions)
 
+    def test_no_interactions_gives_zero_imbalance(self):
+        ds = make_dataset(
+            [[1.0, 0.7, 0.3], [0.7, 1.0, 0.6], [0.3, 0.6, 1.0]],
+            [[1.0, 0.4], [0.4, 1.0]],
+            [[0, 0], [0, 0], [0, 0]],
+        )
+        model = fit_wknnir(ds, 2, 0.8)
+        assert (model.recovery.li_drug, model.recovery.li_target) == (0.0, 0.0)
+        assert (model.r_drug, model.r_target) == (1.0, 1.0)
+        np.testing.assert_array_equal(model.recovery.y_joint, ds.interactions)
+
     def test_zero_similarity_row_keeps_original(self):
         # d2 has no similarity to anyone: its row must survive recovery
         ds = make_dataset(
@@ -278,7 +294,7 @@ class TestWkNNIR:
                 i = int(rng.integers(8))
                 for q in (PairQuery(dprof, j), PairQuery(i, tprof), PairQuery(dprof, tprof)):
                     np.testing.assert_allclose(
-                        predict_wknnir(reduced, q), baseline.predict(q), atol=1e-12
+                        reduced.predict(q), baseline.predict(q), atol=1e-12
                     )
 
     def test_recovery_dominance_lifts_predictions(self):

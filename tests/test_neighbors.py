@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from wknnir import knn, project
-from wknnir.neighbors import neighbor_table
+from wknnir import DtiDataset, EnsembleMember, EnsembleModel, subset
+from wknnir.neighbors import neighbor_table, top_k
 
 
 def oracle_knn(sims, k, exclude=()):
@@ -14,63 +14,75 @@ def oracle_knn(sims, k, exclude=()):
     return picked, [sims[i] for i in picked]
 
 
+def assert_matches_oracle(sim, k):
+    """top_k on every row, and neighbor_table with self excluded, vs the oracle."""
+    idx, vals = top_k(sim, k)
+    for i, row in enumerate(sim.tolist()):
+        want_idx, want_sims = oracle_knn(row, k)
+        np.testing.assert_array_equal(idx[i], want_idx)
+        np.testing.assert_array_equal(vals[i], want_sims)
+    if sim.shape[0] == sim.shape[1] and sim.shape[0] > 1:
+        idx, vals = neighbor_table(sim, k)
+        for i, row in enumerate(sim.tolist()):
+            want_idx, want_sims = oracle_knn(row, k, exclude=(i,))
+            np.testing.assert_array_equal(idx[i], want_idx)
+            np.testing.assert_array_equal(vals[i], want_sims)
+
+
 class TestKnnOracle:
     def test_matches_brute_force_on_1000_random_instances(self):
         rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 1000:
+        for _ in range(1000):
+            rows = int(rng.integers(1, 6))
             size = int(rng.integers(2, 40))
+            shape = (size, size) if rng.random() < 0.5 else (rows, size)
             # discrete values half the time to force ties
             if rng.random() < 0.5:
-                sims = rng.integers(0, 5, size) / 4.0
+                sims = rng.integers(0, 5, shape) / 4.0
             else:
-                sims = rng.random(size)
-            exclude = rng.choice(size, size=int(rng.integers(0, size)), replace=False)
-            if size - exclude.size < 1:
-                continue
-            k = int(rng.integers(1, size + 1))
-            result = knn(sims, k, exclude=exclude)
-            want_idx, want_sims = oracle_knn(sims, k, exclude)
-            np.testing.assert_array_equal(result.indices, want_idx)
-            np.testing.assert_array_equal(result.similarities, want_sims)
-            checked += 1
+                sims = rng.random(shape)
+            assert_matches_oracle(sims, int(rng.integers(1, size + 1)))
 
     def test_tie_broken_by_ascending_index(self):
-        result = knn([0.9, 0.2, 0.9, 0.5], 2)
-        np.testing.assert_array_equal(result.indices, [0, 2])
-        np.testing.assert_array_equal(result.similarities, [0.9, 0.9])
+        idx, sims = top_k(np.array([[0.9, 0.2, 0.9, 0.5]]), 2)
+        np.testing.assert_array_equal(idx, [[0, 2]])
+        np.testing.assert_array_equal(sims, [[0.9, 0.9]])
 
     def test_exclusion(self):
-        result = knn([1.0, 0.8, 0.4], 2, exclude={0})
-        np.testing.assert_array_equal(result.indices, [1, 2])
+        # Self similarity 1.0 would rank first; neighbor_table leaves it out.
+        idx, _ = neighbor_table(np.array([[1.0, 0.8, 0.4], [0.8, 1.0, 0.4], [0.4, 0.4, 1.0]]), 2)
+        np.testing.assert_array_equal(idx[0], [1, 2])
 
     def test_f1_drug2_self_excluded(self, f1):
-        result = knn(f1.drug_sim[2], 1, exclude={2})
-        np.testing.assert_array_equal(result.indices, [1])
-        np.testing.assert_array_equal(result.similarities, [0.4])
+        idx, sims = neighbor_table(f1.drug_sim, 1)
+        np.testing.assert_array_equal(idx[2], [1])
+        np.testing.assert_array_equal(sims[2], [0.4])
 
     def test_k_capped_at_available(self):
-        result = knn([0.3, 0.1], 10)
-        np.testing.assert_array_equal(result.indices, [0, 1])
+        idx, _ = top_k(np.array([[0.3, 0.1]]), 10)
+        np.testing.assert_array_equal(idx, [[0, 1]])
+        idx, _ = neighbor_table(np.eye(3), 10)
+        assert idx.shape == (3, 2)
 
     def test_zero_similarities_kept(self):
-        result = knn([0.0, 0.0, 0.0], 2)
-        np.testing.assert_array_equal(result.indices, [0, 1])
+        idx, _ = top_k(np.zeros((1, 3)), 2)
+        np.testing.assert_array_equal(idx, [[0, 1]])
 
     def test_nothing_selectable(self):
-        with pytest.raises(ValueError, match="no selectable"):
-            knn([0.5, 0.4], 1, exclude={0, 1})
+        with pytest.raises(ValueError, match="at least 2 entities"):
+            neighbor_table(np.ones((1, 1)), 1)
 
     def test_k_below_one(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            knn([0.5, 0.4], 0)
+        with pytest.raises(ValueError, match="k >= 1"):
+            neighbor_table(np.eye(2), 0)
 
     def test_pure_function(self):
-        sims = np.array([0.5, 0.9, 0.1])
-        a = knn(sims, 2)
-        b = knn(sims, 2)
-        np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(sims, [0.5, 0.9, 0.1])
+        sims = np.array([[0.5, 0.9, 0.1], [0.9, 0.5, 0.2], [0.1, 0.2, 0.5]])
+        a = neighbor_table(sims, 2)
+        b = neighbor_table(sims, 2)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(top_k(sims, 2)[0], top_k(sims, 2)[0])
+        np.testing.assert_array_equal(sims, [[0.5, 0.9, 0.1], [0.9, 0.5, 0.2], [0.1, 0.2, 0.5]])
 
 
 class TestNeighborTable:
@@ -82,9 +94,9 @@ class TestNeighborTable:
             k = int(rng.integers(1, n))
             idx, sims = neighbor_table(sim, k)
             for i in range(n):
-                want = knn(sim[i], k, exclude={i})
-                np.testing.assert_array_equal(idx[i], want.indices)
-                np.testing.assert_array_equal(sims[i], want.similarities)
+                want_idx, want_sims = oracle_knn(sim[i].tolist(), k, exclude=(i,))
+                np.testing.assert_array_equal(idx[i], want_idx)
+                np.testing.assert_array_equal(sims[i], want_sims)
 
     def test_self_never_included(self):
         rng = np.random.default_rng(1)
@@ -95,28 +107,65 @@ class TestNeighborTable:
             assert i not in idx[i]
 
 
+class _Recorder:
+    """Member model that answers zeros and records the profiles it is shown."""
+
+    def __init__(self, width):
+        self.width = width
+        self.seen = []
+
+    def predict_s2(self, profiles):
+        self.seen.append(np.array(profiles))
+        return np.zeros((profiles.shape[0], self.width))
+
+
+def _one_member(ds, drug_subset, model):
+    targets = np.arange(ds.m)
+    return EnsembleModel(ds, (EnsembleMember(model, np.asarray(drug_subset), targets),), "recorder")
+
+
+def _dataset(n):
+    sim = np.eye(n)
+    return DtiDataset([f"d{i}" for i in range(n)], ["t0"], sim, [[1.0]], np.ones((n, 1)))
+
+
+def shown_profiles(profiles, drug_subset):
+    """The profiles an ensemble member sees: restricted to its sample, in sample order."""
+    profiles = np.atleast_2d(profiles)
+    recorder = _Recorder(1)
+    _one_member(_dataset(profiles.shape[1]), drug_subset, recorder).predict_s2(profiles)
+    return recorder.seen[0]
+
+
 class TestProject:
+    # Ensemble members score profiles projected onto their own sample.
+
     def test_hand_example(self):
-        np.testing.assert_array_equal(project([0.1, 0.2, 0.3, 0.4, 0.5], [0, 1, 3]), [0.1, 0.2, 0.4])
+        np.testing.assert_array_equal(shown_profiles([0.1, 0.2, 0.3, 0.4, 0.5], [0, 1, 3]), [[0.1, 0.2, 0.4]])
 
     def test_identity(self):
         sims = np.array([0.4, 0.2, 0.9])
-        np.testing.assert_array_equal(project(sims, [0, 1, 2]), sims)
+        np.testing.assert_array_equal(shown_profiles(sims, [0, 1, 2]), [sims])
 
     def test_order_follows_subset(self):
-        np.testing.assert_array_equal(project([0.9, 0.0, 0.6], [2, 0]), [0.6, 0.9])
+        np.testing.assert_array_equal(shown_profiles([0.9, 0.0, 0.6], [2, 0]), [[0.6, 0.9]])
 
     def test_composition(self):
+        # A member that is itself an ensemble projects again, onto a[b].
         rng = np.random.default_rng(3)
-        sims = rng.random(10)
+        sims = rng.random((1, 10))
         a = np.array([7, 2, 5, 0, 9])
         b = np.array([3, 1])
-        np.testing.assert_array_equal(project(project(sims, a), b), project(sims, a[b]))
+        outer_ds = _dataset(10)
+        recorder = _Recorder(1)
+        inner = _one_member(subset(outer_ds, a, [0]), b, recorder)
+        _one_member(outer_ds, a, inner).predict_s2(sims)
+        np.testing.assert_array_equal(recorder.seen[0], shown_profiles(sims, a[b]))
 
     def test_matrix_rows(self):
         sims = np.arange(12.0).reshape(3, 4) / 12
-        np.testing.assert_array_equal(project(sims, [3, 1]), sims[:, [3, 1]])
+        np.testing.assert_array_equal(shown_profiles(sims, [3, 1]), sims[:, [3, 1]])
 
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
-            project([0.1, 0.2], [2])
+            shown_profiles([0.1, 0.2], [2])
