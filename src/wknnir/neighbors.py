@@ -2,7 +2,17 @@
 
 Similarities are given, not computed: every routine here just ranks them.
 Ordering is by descending similarity with ties broken by ascending index,
-which makes neighbor lists deterministic for any input.
+and NaN last, which makes neighbor lists deterministic for any input: the
+picks are exactly the first k columns of a stable ``argsort`` of the
+negated rows.
+
+Ranking partitions, then orders: ``np.partition`` finds each row's k-th
+value, and only the entries at or above it, in ascending column order,
+are stable-sorted. They are a prefix of the row's full stable order, so
+the result is the same. Where the candidates make up much of a row (a
+row with fewer than k non-NaN values, or a tie at the k-th value
+covering half of the columns, such as an all-zero row), the whole matrix
+is sorted instead, which is then cheaper.
 """
 
 from __future__ import annotations
@@ -18,9 +28,47 @@ def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(indices, similarities)``, each of shape (rows, k') with
     k' = min(k, columns), row i holding its picks best first.
     """
+    rows, cols = similarities.shape
+    k = min(k, cols)
     # Stable sort on negated values: descending similarity, ascending index on ties.
-    order = np.argsort(-similarities, axis=1, kind="stable")[:, : min(k, similarities.shape[1])]
+    neg = -similarities
+    found = _candidates(neg, k) if rows and 0 < k < cols else None
+    if found is None:
+        order = np.argsort(neg, axis=1, kind="stable")[:, :k]
+    else:
+        picks, keys = found
+        order = np.take_along_axis(picks, np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1) % cols
     return order, np.take_along_axis(similarities, order, axis=1)
+
+
+def _candidates(neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every entry at or below its row's k-th smallest value of ``neg``.
+
+    Returns ``(picks, keys)``: flat indices into ``neg`` and their values,
+    one row per row of ``neg`` in ascending column order, padded at the
+    end with NaN keys, which a stable sort puts after every candidate.
+    Returns None, to sort the whole matrix instead, where some row has
+    fewer than k non-NaN values or candidates in half of its columns.
+    """
+    rows, cols = neg.shape
+    kth = np.partition(neg, k - 1, axis=1)[:, [k - 1]]  # a copy: the partitioned matrix is freed here
+    if np.isnan(kth).any():  # fewer than k non-NaN values: every entry is a candidate
+        return None
+    cand = neg <= kth
+    flat = np.flatnonzero(cand)
+    if flat.size == rows * k:  # no row ties at its k-th value
+        return flat.reshape(rows, k), neg.ravel()[flat].reshape(rows, k)
+    counts = np.count_nonzero(cand, axis=1)
+    width = int(counts.max())
+    if 2 * width >= cols:
+        return None
+    # (row, place within the row) of every candidate
+    at = (flat // cols, np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    picks = np.zeros((rows, width), dtype=np.intp)
+    keys = np.full((rows, width), np.nan)
+    picks[at] = flat
+    keys[at] = neg.ravel()[flat]
+    return picks, keys
 
 
 def neighbor_table(similarity: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

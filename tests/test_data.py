@@ -40,6 +40,24 @@ class TestDtiDataset:
         np.testing.assert_array_equal(sub.interactions, [[1], [0]])
         np.testing.assert_array_equal(sub.drug_sim, [[1.0, 0.2], [0.2, 1.0]])
 
+    @pytest.mark.parametrize("order", ["ascending", "drawn", "empty"])
+    def test_subset_equals_outer_index_gather(self, order):
+        # Fold training indices are ascending; ensemble samples arrive in draw order.
+        ds = random_dataset(30, 25, seed=5)
+        rng = np.random.default_rng(6)
+        drugs = rng.choice(30, 0 if order == "empty" else 17, replace=False)
+        targets = rng.choice(25, 11, replace=False)
+        if order == "ascending":
+            drugs, targets = np.sort(drugs), np.sort(targets)
+        sub = subset(ds, drugs, targets)
+        np.testing.assert_array_equal(sub.drug_sim, ds.drug_sim[np.ix_(drugs, drugs)])
+        np.testing.assert_array_equal(sub.target_sim, ds.target_sim[np.ix_(targets, targets)])
+        np.testing.assert_array_equal(sub.interactions, ds.interactions[np.ix_(drugs, targets)])
+        assert sub.drug_ids == tuple(ds.drug_ids[i] for i in drugs)
+        for arr in (sub.drug_sim, sub.target_sim, sub.interactions):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            assert not np.shares_memory(arr, ds.drug_sim) and not np.shares_memory(arr, ds.interactions)
+
 
 class TestValidateDataset:
     def test_valid_fixture_is_clean(self, f1):

@@ -1,32 +1,68 @@
 """Neighbor selection against a brute-force full-sort oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
 from wknnir import DtiDataset, EnsembleMember, EnsembleModel, subset
-from wknnir.neighbors import neighbor_table, top_k
+from wknnir.neighbors import _candidates, neighbor_table, top_k
 
 
 def oracle_knn(sims, k, exclude=()):
-    """Full sort by (-similarity, index), then take the first k."""
-    order = sorted((i for i in range(len(sims)) if i not in set(exclude)), key=lambda i: (-sims[i], i))
+    """Full sort by (-similarity, index), NaN last, then take the first k."""
+
+    def key(i):
+        return (True, 0.0, i) if math.isnan(sims[i]) else (False, -sims[i], i)
+
+    order = sorted((i for i in range(len(sims)) if i not in set(exclude)), key=key)
     picked = order[: min(k, len(order))]
     return picked, [sims[i] for i in picked]
 
 
-def assert_matches_oracle(sim, k):
-    """top_k on every row, and neighbor_table with self excluded, vs the oracle."""
+def assert_matches_oracle(sim, k, check_rows=None):
+    """top_k on every row, and neighbor_table with self excluded, vs the oracle.
+
+    ``check_rows`` limits the rows compared (all by default); the whole
+    matrix is still ranked.
+    """
+    rows = range(sim.shape[0]) if check_rows is None else check_rows
     idx, vals = top_k(sim, k)
-    for i, row in enumerate(sim.tolist()):
-        want_idx, want_sims = oracle_knn(row, k)
+    assert idx.shape == vals.shape == (sim.shape[0], min(k, sim.shape[1]))
+    for i in rows:
+        want_idx, want_sims = oracle_knn(sim[i].tolist(), k)
         np.testing.assert_array_equal(idx[i], want_idx)
         np.testing.assert_array_equal(vals[i], want_sims)
     if sim.shape[0] == sim.shape[1] and sim.shape[0] > 1:
         idx, vals = neighbor_table(sim, k)
-        for i, row in enumerate(sim.tolist()):
-            want_idx, want_sims = oracle_knn(row, k, exclude=(i,))
+        for i in rows:
+            want_idx, want_sims = oracle_knn(sim[i].tolist(), k, exclude=(i,))
             np.testing.assert_array_equal(idx[i], want_idx)
             np.testing.assert_array_equal(vals[i], want_sims)
+
+
+def quantised_similarity(n, seed):
+    """Symmetric Gaussian-kernel similarity rounded to one decimal, zero below 0.3.
+
+    The tie-heavy recipe of the benchmark's ``ties=True`` data: many exact
+    zeros and repeated values in every row.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 6))
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    sim = np.round(np.exp(-d2 / np.median(d2[d2 > 0])) * 10) / 10
+    sim[sim < 0.3] = 0.0
+    sim = (sim + sim.T) / 2
+    np.fill_diagonal(sim, 1.0)
+    return sim
+
+
+def branch(sim, k):
+    """Which ranking path top_k takes: 'sort', 'exact' (k candidates a row) or 'padded'."""
+    found = _candidates(-sim, k)
+    if found is None:
+        return "sort"
+    return "exact" if found[0].shape[1] == k else "padded"
 
 
 class TestKnnOracle:
@@ -83,6 +119,97 @@ class TestKnnOracle:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(top_k(sims, 2)[0], top_k(sims, 2)[0])
         np.testing.assert_array_equal(sims, [[0.5, 0.9, 0.1], [0.9, 0.5, 0.2], [0.1, 0.2, 0.5]])
+
+
+class TestRealisticWidths:
+    # Widths of the published benchmarks (IC folds 150-210, E up to 664)
+    # and k up to the grid's largest neighbor_table request.
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    @pytest.mark.parametrize("width", [150, 347, 700])
+    def test_distinct_values(self, width, k):
+        rng = np.random.default_rng(width + k)
+        assert_matches_oracle(rng.random((5, width)), k)
+        sim = rng.random((width, width))
+        assert branch(sim, k) == "exact"
+        assert_matches_oracle(sim, k, check_rows=rng.choice(width, 6, replace=False))
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    @pytest.mark.parametrize("width", [150, 445])
+    def test_quantised_ties(self, width, k):
+        sim = quantised_similarity(width, seed=width + k)
+        assert branch(sim, k + 1) == "padded"
+        assert_matches_oracle(sim, k, check_rows=range(0, width, 7))
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_half_the_row_ties_with_kth_value(self, k):
+        # Most rows have distinct values; row 1 is all zero and row 2 ties
+        # 0.5 in 60% of its columns, so the whole matrix is sorted.
+        rng = np.random.default_rng(k)
+        sim = rng.random((6, 300))
+        sim[1] = 0.0
+        sim[2, rng.random(300) < 0.6] = 0.5
+        sim[2, :3] = 0.9
+        assert branch(sim, k) == "sort"
+        assert_matches_oracle(sim, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_ties_under_half_the_row(self, k):
+        # Ties at or above the k-th value in up to 40% of a row: padded
+        # candidate rows of unequal width.
+        rng = np.random.default_rng(10 + k)
+        sim = rng.random((6, 300)) / 2
+        sim[0, rng.random(300) < 0.4] = 0.75  # a wide tie at the top
+        sim[1, 50:80] = 0.6  # a tie straddling the k-th place
+        sim[1, 100 : 100 + k - 1] = 0.9
+        sim[3] = np.round(sim[3] * 8) / 8  # coarse values
+        sim[3, :k] = 1.0
+        assert branch(sim, k) == "padded"
+        assert_matches_oracle(sim, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_negative_values_with_ties(self, k):
+        # Below-zero similarities, coarse in half the rows: ties of unequal
+        # width, padded after candidates that are all below zero.
+        rng = np.random.default_rng(40 + k)
+        sim = -rng.random((6, 250))
+        sim[::2] = np.round(sim[::2] * 20) / 20
+        assert branch(sim, k) == "padded"
+        assert_matches_oracle(sim, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_all_zero_matrix(self, k):
+        assert_matches_oracle(np.zeros((160, 160)), k, check_rows=[0, 1, 80, 159])
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_fewer_than_k_finite_values(self, k):
+        rng = np.random.default_rng(20 + k)
+        sim = rng.random((5, 200))
+        sim[0, 3:] = np.nan  # 3 values, then NaN by ascending index
+        sim[1, :] = np.nan
+        sim[2, rng.random(200) < 0.5] = np.nan  # NaN ranks last, but k is within the finite ones
+        assert branch(sim, k) == "sort"
+        assert_matches_oracle(sim, k)
+        assert branch(sim[2:], k) in ("exact", "padded")
+        assert_matches_oracle(sim[2:], k)
+
+    @pytest.mark.parametrize("shape", [(0, 7), (0, 0), (4, 0)])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_empty_inputs_keep_their_shapes(self, shape, k):
+        idx, vals = top_k(np.zeros(shape), k)
+        assert idx.shape == vals.shape == (shape[0], min(k, shape[1]))
+        assert idx.dtype == np.intp and vals.dtype == float
+
+    @pytest.mark.parametrize("extra", [0, 1, 50])
+    def test_k_at_least_columns(self, extra):
+        rng = np.random.default_rng(30 + extra)
+        sim = np.round(rng.random((20, 150)) * 3) / 3
+        sim[4, ::2] = np.nan
+        assert_matches_oracle(sim, 150 + extra)
+
+    def test_fortran_order_input(self):
+        sim = np.asfortranarray(quantised_similarity(160, seed=3))
+        assert_matches_oracle(sim, 6, check_rows=range(0, 160, 9))
 
 
 class TestNeighborTable:
