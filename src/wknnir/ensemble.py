@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DtiDataset, subset
-from .imbalance import imbalance_report
-from .models import PairQuery, WkNNIRModel, WkNNModel, _check_profiles, split_query
+from .imbalance import _clamped_report
+from .models import WkNNIRModel, WkNNModel, _check_profiles, _NeighborPredictor
 
 __all__ = [
     "SamplingStrategy",
@@ -116,13 +116,8 @@ class EnsembleModel:
             acc += mem.model.predict_s4(dp[:, mem.drug_subset], tp[:, mem.target_subset])
         return acc / self.q
 
-    def predict(self, q: PairQuery) -> float:
-        di, dp, tj, tp = split_query(q, self.dataset.n, self.dataset.m)
-        if tj is not None:
-            return float(self.predict_s2(dp[None, :])[0, tj])
-        if di is not None:
-            return float(self.predict_s3(tp[None, :])[0, di])
-        return float(self.predict_s4(dp[None, :], tp[None, :])[0, 0])
+    # Shared as a class attribute, not inherited: the ensemble has no label matrices.
+    predict = _NeighborPredictor.predict
 
 
 def sampling_probabilities(ds: DtiDataset, strategy: SamplingStrategy):
@@ -130,12 +125,12 @@ def sampling_probabilities(ds: DtiDataset, strategy: SamplingStrategy):
     n, m = ds.n, ds.m
     if strategy.kind == "uniform":
         return np.full(n, 1.0 / n), np.full(m, 1.0 / m)
-    if strategy.kind == "global" or not ds.interactions.any():
-        # Without interactions every importance is zero, as is every count.
+    report = _clamped_report(ds, strategy.k) if strategy.kind == "local" else None
+    if report is None:
+        # Counts serve `global`, and `local` where the data carries no imbalance evidence.
         drug_w = ds.interactions.sum(axis=1)
         target_w = ds.interactions.sum(axis=0)
     else:
-        report = imbalance_report(ds, strategy.k)
         drug_w, target_w = report.drug_importance, report.target_importance
     sigma = strategy.sigma
     return (
@@ -147,9 +142,15 @@ def sampling_probabilities(ds: DtiDataset, strategy: SamplingStrategy):
 def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
     """Draw ``count`` distinct indices by repeated weighted selection.
 
-    After each draw the chosen index is removed and the remaining weights
-    renormalized. ``rng`` is a seed or a ``numpy.random.Generator``; the
-    result is an ordered index array, deterministic given the seed.
+    Each draw picks an undrawn index with probability proportional to its
+    weight, then zeroes that weight. ``rng`` is a seed or a
+    ``numpy.random.Generator``; the result is an ordered index array,
+    deterministic given the seed.
+
+    The draws equal those of ``Generator.choice(p=...)`` on the undrawn
+    weights renormalised: the total sums the same numbers in the same
+    order, the zeroed weights add exactly in the cumulative sum, and each
+    draw searches it with one ``random()``, as ``choice`` does.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1:
@@ -159,17 +160,19 @@ def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
     if not 1 <= count <= p.size:
         raise ValueError(f"count={count} out of range [1, {p.size}]")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    remaining = np.arange(p.size)
     weights = p.copy()
+    undrawn = np.ones(p.size, dtype=bool)
     out = np.empty(count, dtype=int)
     for t in range(count):
-        total = weights.sum()
+        total = weights[undrawn].sum()
         if total <= 0:
             raise ValueError(f"only {t} indices have nonzero probability, need {count}")
-        pos = int(gen.choice(weights.size, p=weights / total))
-        out[t] = remaining[pos]
-        remaining = np.delete(remaining, pos)
-        weights = np.delete(weights, pos)
+        cdf = np.cumsum(weights / total)
+        cdf /= cdf[-1]
+        pick = int(cdf.searchsorted(gen.random(), side="right"))
+        out[t] = pick
+        weights[pick] = 0.0
+        undrawn[pick] = False
     return out
 
 

@@ -70,11 +70,11 @@ class CvPlan:
 
 @dataclass(frozen=True, eq=False)
 class Fold:
-    """Index sets for one train/test split.
+    """Index sets for one train/test split: one drug part x one target part.
 
-    S2 holds out drugs (test_targets empty, all targets train); S3 holds
-    out targets; S4 holds out a drug fold and a target fold jointly and
-    tests their product block.
+    A held-out side tests its part and trains on the rest. A side that
+    is not held out (targets in S2, drugs in S3) has an empty test part
+    and trains on all its entities, which are then the scored ones.
     """
 
     setting: str
@@ -127,48 +127,32 @@ class ParamGrid:
 DEFAULT_GRID = ParamGrid((1, 2, 3, 5, 7, 9), tuple(round(0.1 * i, 1) for i in range(1, 11)))
 
 
-def _round_robin(perm: np.ndarray, folds: int) -> list:
+def _parts(rng, size: int, folds: int, held: bool, side: str) -> list:
+    """One side's test parts: a seeded shuffle dealt round-robin, or one empty part if not held out."""
+    if not held:
+        return [np.array([], dtype=int)]
+    if folds > size:
+        raise ValueError(f"fold count {folds} exceeds {side} count {size}")
+    perm = rng.permutation(size)
     return [np.sort(perm[f::folds]) for f in range(folds)]
 
 
 def generate_folds(ds: DtiDataset, plan: CvPlan) -> list:
-    """Deterministic fold list for a plan; repetition r reshuffles with seed+r."""
-    n, m = ds.n, ds.m
-    if plan.setting in ("S2", "S4") and plan.folds > n:
-        raise ValueError(f"fold count {plan.folds} exceeds drug count {n}")
-    if plan.setting in ("S3", "S4") and plan.folds > m:
-        raise ValueError(f"fold count {plan.folds} exceeds target count {m}")
-    all_drugs = np.arange(n)
-    all_targets = np.arange(m)
+    """Deterministic fold list for a plan; repetition r reshuffles with seed+r.
+
+    Every setting pairs each drug part with each target part, so fold
+    ``index`` is drug part x target part count + target part.
+    """
+    all_drugs = np.arange(ds.n)
+    all_targets = np.arange(ds.m)
     out = []
     for rep in range(plan.repetitions):
         rng = np.random.default_rng(plan.seed + rep)
-        if plan.setting == "S2":
-            for f, test in enumerate(_round_robin(rng.permutation(n), plan.folds)):
-                out.append(
-                    Fold("S2", rep, f, np.setdiff1d(all_drugs, test), all_targets, test, np.array([], dtype=int))
-                )
-        elif plan.setting == "S3":
-            for f, test in enumerate(_round_robin(rng.permutation(m), plan.folds)):
-                out.append(
-                    Fold("S3", rep, f, all_drugs, np.setdiff1d(all_targets, test), np.array([], dtype=int), test)
-                )
-        else:
-            drug_parts = _round_robin(rng.permutation(n), plan.folds)
-            target_parts = _round_robin(rng.permutation(m), plan.folds)
-            for fd, dtest in enumerate(drug_parts):
-                for ft, ttest in enumerate(target_parts):
-                    out.append(
-                        Fold(
-                            "S4",
-                            rep,
-                            fd * plan.folds + ft,
-                            np.setdiff1d(all_drugs, dtest),
-                            np.setdiff1d(all_targets, ttest),
-                            dtest,
-                            ttest,
-                        )
-                    )
+        drug_parts = _parts(rng, ds.n, plan.folds, plan.setting != "S3", "drug")
+        target_parts = _parts(rng, ds.m, plan.folds, plan.setting != "S2", "target")
+        for (fd, dtest), (ft, ttest) in product(enumerate(drug_parts), enumerate(target_parts)):
+            train = np.setdiff1d(all_drugs, dtest), np.setdiff1d(all_targets, ttest)
+            out.append(Fold(plan.setting, rep, fd * len(target_parts) + ft, *train, dtest, ttest))
     return out
 
 
@@ -206,17 +190,23 @@ def aupr(scores, labels) -> float:
 
 
 def _fold_scores(ds: DtiDataset, fold: Fold, model):
-    """Score all test pairs of a fold; returns (scores, labels) matrices."""
-    Y = ds.interactions
-    if fold.setting == "S2":
-        profiles = ds.drug_sim[np.ix_(fold.test_drugs, fold.train_drugs)]
-        return model.predict_s2(profiles), Y[np.ix_(fold.test_drugs, fold.train_targets)]
-    if fold.setting == "S3":
-        profiles = ds.target_sim[np.ix_(fold.test_targets, fold.train_targets)]
-        return model.predict_s3(profiles), Y[np.ix_(fold.train_drugs, fold.test_targets)].T
+    """Score a fold's test block; returns ``(scores, block)``.
+
+    Scores are drugs x targets. ``block`` is the ``np.ix_`` index of the
+    pairs they score: on each side the test part, or all training
+    entities where that part is empty (the side is not held out).
+    """
+    drugs = fold.test_drugs if fold.test_drugs.size else fold.train_drugs
+    targets = fold.test_targets if fold.test_targets.size else fold.train_targets
     dp = ds.drug_sim[np.ix_(fold.test_drugs, fold.train_drugs)]
     tp = ds.target_sim[np.ix_(fold.test_targets, fold.train_targets)]
-    return model.predict_s4(dp, tp), Y[np.ix_(fold.test_drugs, fold.test_targets)]
+    if fold.setting == "S2":
+        scores = model.predict_s2(dp)
+    elif fold.setting == "S3":
+        scores = model.predict_s3(tp).T
+    else:
+        scores = model.predict_s4(dp, tp)
+    return scores, np.ix_(drugs, targets)
 
 
 def run_cv(ds: DtiDataset, learner, plan: CvPlan, threads: int = 1, params: dict | None = None) -> CvResult:
@@ -225,7 +215,8 @@ def run_cv(ds: DtiDataset, learner, plan: CvPlan, threads: int = 1, params: dict
 
     def run_one(fold):
         model = learner(subset(ds, fold.train_drugs, fold.train_targets))
-        scores, labels = _fold_scores(ds, fold, model)
+        scores, block = _fold_scores(ds, fold, model)
+        labels = ds.interactions[block]
         positives = int(labels.sum())
         value = aupr(scores.ravel(), labels.ravel()) if positives else math.nan
         return FoldResult(fold.repetition, fold.index, value, labels.size, positives)
@@ -272,13 +263,8 @@ def rank_novel(ds: DtiDataset, learner, setting: str, top_n: int, folds: int | N
     scores = np.full((ds.n, ds.m), np.nan)
     for fold in generate_folds(ds, plan):
         model = learner(subset(ds, fold.train_drugs, fold.train_targets))
-        block, _ = _fold_scores(ds, fold, model)
-        if fold.setting == "S2":
-            scores[np.ix_(fold.test_drugs, fold.train_targets)] = block
-        elif fold.setting == "S3":
-            scores[np.ix_(fold.train_drugs, fold.test_targets)] = block.T
-        else:
-            scores[np.ix_(fold.test_drugs, fold.test_targets)] = block
+        values, block = _fold_scores(ds, fold, model)
+        scores[block] = values
     rows, cols = np.nonzero(ds.interactions == 0)
     ranked = sorted(
         ((ds.drug_ids[i], ds.target_ids[j], float(scores[i, j])) for i, j in zip(rows, cols)),

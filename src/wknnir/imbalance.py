@@ -83,3 +83,14 @@ def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
         drug_importance=(drug_pair * Y).sum(axis=1),
         target_importance=(target_pair * Y).sum(axis=0),
     )
+
+
+def _clamped_report(ds: "DtiDataset", k: int) -> ImbalanceReport | None:
+    """``imbalance_report`` with k clamped to both sides, as the models need it.
+
+    Returns None for degenerate inputs (one entity on a side, or no
+    interactions): they carry no disagreement evidence.
+    """
+    if ds.n < 2 or ds.m < 2 or not ds.interactions.any():
+        return None
+    return imbalance_report(ds, min(k, ds.n - 1, ds.m - 1))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DtiDataset
-from .imbalance import imbalance_report
+from .imbalance import _clamped_report
 from .neighbors import neighbor_table, top_k
 
 __all__ = [
@@ -244,22 +244,15 @@ def _recover_rows(sim, Y, k, eta):
     return _decay_scores(*neighbor_table(sim, k), Y, eta)
 
 
-def _local_imbalance_or_zero(ds, k):
-    # Degenerate inputs (one entity on a side, or no interactions) carry
-    # no disagreement evidence; treat their imbalance as zero.
-    if ds.n < 2 or ds.m < 2 or ds.interactions.sum() == 0:
-        return 0.0, 0.0
-    report = imbalance_report(ds, min(k, ds.n - 1, ds.m - 1))
-    return report.li_drug, report.li_target
-
-
 def build_recovery(ds: DtiDataset, k: int, eta: float) -> RecoverySet:
     """Complete the interaction matrix three ways at one (k, eta)."""
     _check_params(k, eta)
     Y = ds.interactions
     y_drug_raw = _recover_rows(ds.drug_sim, Y, k, eta)
     y_target_raw = _recover_rows(ds.target_sim, Y.T, k, eta).T
-    li_drug, li_target = _local_imbalance_or_zero(ds, k)
+    report = _clamped_report(ds, k)
+    # Without imbalance evidence both sides count as balanced.
+    li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)
     y_joint_raw = ((1.0 - li_drug) * y_drug_raw + (1.0 - li_target) * y_target_raw) / 2.0
     return RecoverySet(
         y_drug=np.maximum(y_drug_raw, Y),

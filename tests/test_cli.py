@@ -162,6 +162,18 @@ class TestCv:
         assert code == 0
         assert all(line.split(",")[1] == "els-wknnir" for line in out.read_text().splitlines()[1:])
 
+    def test_default_li_k_on_small_training_folds(self, data_files, tmp_path):
+        # S4 training blocks here are 4 x 3, smaller than the default --li-k 5.
+        _, paths = data_files
+        out = tmp_path / "cv.csv"
+        code = main([
+            "cv", *dataset_args(paths),
+            "--setting", "S4", "--method", "wknnir", "--k", "5", "--eta", "0.8",
+            "--ensemble", "els", "--q", "2", "--folds", "2", "--reps", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 4
+
     def test_tunes_when_parameters_omitted(self, data_files, tmp_path):
         _, paths = data_files
         out = tmp_path / "cv.csv"

@@ -10,6 +10,7 @@ from wknnir import (
     SamplingStrategy,
     fit_wknn,
     fit_wknnir,
+    imbalance_report,
     sample_without_replacement,
     sampling_probabilities,
     subset,
@@ -75,6 +76,27 @@ class TestSamplingProbabilities:
         np.testing.assert_allclose(p_drug, np.full(3, 1.0 / 3), atol=1e-15)
         np.testing.assert_allclose(p_target, np.full(2, 1.0 / 2), atol=1e-15)
 
+    def test_local_clamps_k_like_the_base_model(self):
+        # 4 drugs: k=5 is clamped to 3 on both sides, as fit_wknnir does.
+        ds = random_dataset(4, 6, seed=0)
+        report = imbalance_report(ds, 3)
+        p_drug, p_target = sampling_probabilities(ds, SamplingStrategy("local", sigma=0.1, k=5))
+        np.testing.assert_array_equal(
+            p_drug, (0.1 + report.drug_importance) / (4 * 0.1 + report.drug_importance.sum())
+        )
+        np.testing.assert_array_equal(
+            p_target, (0.1 + report.target_importance) / (6 * 0.1 + report.target_importance.sum())
+        )
+        ens = train_ensemble(ds, lambda sub: fit_wknnir(sub, 5, 0.8), 3, 0.9, SamplingStrategy("local", k=5))
+        assert ens.q == 3
+
+    def test_local_with_a_one_entity_side_uses_counts(self):
+        ds = make_dataset([[1.0]], [[1.0, 0.3, 0.6], [0.3, 1.0, 0.2], [0.6, 0.2, 1.0]], [[1, 0, 1]])
+        local = sampling_probabilities(ds, SamplingStrategy("local", k=2))
+        counts = sampling_probabilities(ds, SamplingStrategy("global"))
+        for a, b in zip(local, counts):
+            np.testing.assert_array_equal(a, b)
+
     def test_zero_sigma_keeps_zero_weight_entities_at_zero(self):
         ds = make_dataset(
             [[1.0, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.0]],
@@ -124,6 +146,47 @@ class TestSampleWithoutReplacement:
         draws = np.array([sample_without_replacement(p, 1, gen)[0] for _ in range(4000)])
         freq = np.bincount(draws, minlength=3) / draws.size
         np.testing.assert_allclose(freq, p, atol=0.03)
+
+    @staticmethod
+    def _choice_oracle(p, count, gen):
+        # Sequential renormalised selection through Generator.choice on the
+        # compacted remaining weights.
+        remaining = np.arange(p.size)
+        weights = np.array(p, dtype=float)
+        out = []
+        for _ in range(count):
+            pos = int(gen.choice(weights.size, p=weights / weights.sum()))
+            out.append(remaining[pos])
+            remaining = np.delete(remaining, pos)
+            weights = np.delete(weights, pos)
+        return np.array(out)
+
+    def test_matches_sequential_choice_oracle(self):
+        cases = np.random.default_rng(2024)
+        for case in range(320):
+            size = int(cases.integers(1, 200))
+            p = cases.random(size)
+            if case % 4 == 1:
+                p[cases.random(size) < 0.4] = 0.0  # zero-probability entries
+            elif case % 4 == 2:
+                p = np.round(p * 4) / 4  # quantised, heavily tied weights
+            if not p.any():
+                p[0] = 1.0
+            p /= p.sum()
+            nonzero = int(np.count_nonzero(p))
+            count = nonzero if case % 3 == 0 else int(cases.integers(1, nonzero + 1))
+            seed = int(cases.integers(2**32))
+            if case % 2:
+                got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_without_replacement(p, count, got_gen)
+                want = self._choice_oracle(p, count, want_gen)
+                # The stream is left where the oracle leaves it, so later draws agree too.
+                assert got_gen.random() == want_gen.random()
+            else:
+                got = sample_without_replacement(p, count, seed)
+                want = self._choice_oracle(p, count, np.random.default_rng(seed))
+            assert got.dtype == np.dtype(int)
+            np.testing.assert_array_equal(got, want, err_msg=f"case {case}")
 
     def test_zero_support_exhaustion(self):
         with pytest.raises(ValueError, match="only 2 indices have nonzero probability"):

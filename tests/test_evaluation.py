@@ -24,7 +24,7 @@ from wknnir import (
     tune_hyperparameters,
     tuned_learner,
 )
-from conftest import random_dataset
+from conftest import make_dataset, random_dataset
 
 
 def oracle_aupr(scores, labels):
@@ -206,6 +206,61 @@ class TestGenerateFolds:
         rep1 = [f.test_drugs.tolist() for f in a if f.repetition == 1]
         assert rep0 != rep1
 
+    @staticmethod
+    def _three_branch_folds(ds, plan):
+        # One branch per setting: drug folds, target folds, drug x target blocks.
+        def round_robin(perm, folds):
+            return [np.sort(perm[f::folds]) for f in range(folds)]
+
+        n, m = ds.n, ds.m
+        all_drugs, all_targets = np.arange(n), np.arange(m)
+        out = []
+        for rep in range(plan.repetitions):
+            rng = np.random.default_rng(plan.seed + rep)
+            if plan.setting == "S2":
+                for f, test in enumerate(round_robin(rng.permutation(n), plan.folds)):
+                    empty = np.array([], dtype=int)
+                    out.append(("S2", rep, f, np.setdiff1d(all_drugs, test), all_targets, test, empty))
+            elif plan.setting == "S3":
+                for f, test in enumerate(round_robin(rng.permutation(m), plan.folds)):
+                    empty = np.array([], dtype=int)
+                    out.append(("S3", rep, f, all_drugs, np.setdiff1d(all_targets, test), empty, test))
+            else:
+                drug_parts = round_robin(rng.permutation(n), plan.folds)
+                target_parts = round_robin(rng.permutation(m), plan.folds)
+                for fd, dtest in enumerate(drug_parts):
+                    for ft, ttest in enumerate(target_parts):
+                        out.append(
+                            (
+                                "S4",
+                                rep,
+                                fd * plan.folds + ft,
+                                np.setdiff1d(all_drugs, dtest),
+                                np.setdiff1d(all_targets, ttest),
+                                dtest,
+                                ttest,
+                            )
+                        )
+        return out
+
+    @pytest.mark.parametrize("setting", ["S2", "S3", "S4"])
+    def test_equals_three_branch_generator(self, setting):
+        ds = random_dataset(11, 7, seed=15)
+        most = {"S2": ds.n, "S3": ds.m, "S4": min(ds.n, ds.m)}[setting]
+        for folds in sorted({2, 3, 5, most}):
+            for seed in (0, 4, 123):
+                for reps in (1, 3):
+                    plan = CvPlan(setting, folds, repetitions=reps, seed=seed)
+                    got = generate_folds(ds, plan)
+                    want = self._three_branch_folds(ds, plan)
+                    assert len(got) == len(want)
+                    for fold, (name, rep, index, *arrays) in zip(got, want):
+                        assert (fold.setting, fold.repetition, fold.index) == (name, rep, index)
+                        fields = (fold.train_drugs, fold.train_targets, fold.test_drugs, fold.test_targets)
+                        for have, expected in zip(fields, arrays):
+                            assert have.dtype == expected.dtype
+                            np.testing.assert_array_equal(have, expected)
+
     @pytest.mark.parametrize("setting,folds", [("S2", 9), ("S3", 8), ("S4", 9), ("S4", 8)])
     def test_rejects_more_folds_than_entities(self, setting, folds):
         ds = random_dataset(8, 7, seed=8)
@@ -244,6 +299,22 @@ class TestRunCv:
         scores = model.predict_s2(ds.drug_sim[np.ix_(fold.test_drugs, fold.train_drugs)])
         labels = ds.interactions[np.ix_(fold.test_drugs, fold.train_targets)]
         assert result.folds[2].aupr == aupr(scores.ravel(), labels.ravel())
+
+    def test_s3_folds_match_target_major_evaluation(self):
+        # Scores are gathered drugs x targets; AUPR must not see the order
+        # in which tied pairs arrive, so quantised (tie-heavy) data is used.
+        ds = random_dataset(12, 9, seed=16)
+        ds = make_dataset(np.round(ds.drug_sim * 4) / 4, np.round(ds.target_sim * 4) / 4, ds.interactions)
+        plan = CvPlan("S3", 3, repetitions=2)
+        learner = fixed_learner(fit_wknn, 3, 0.8)
+        result = run_cv(ds, learner, plan)
+        for fold, fr in zip(generate_folds(ds, plan), result.folds):
+            model = learner(subset(ds, fold.train_drugs, fold.train_targets))
+            scores = model.predict_s3(ds.target_sim[np.ix_(fold.test_targets, fold.train_targets)])
+            labels = ds.interactions[np.ix_(fold.train_drugs, fold.test_targets)].T
+            assert (fr.pairs, fr.positives) == (labels.size, int(labels.sum()))
+            if fr.positives:
+                assert fr.aupr == aupr(scores.ravel(), labels.ravel())
 
     def test_threads_do_not_change_the_result(self):
         ds = random_dataset(12, 9, seed=12)
@@ -393,6 +464,29 @@ class TestRankNovel:
         a = rank_novel(ds, fixed_learner(fit_wknn, 2, 0.8), "S3", 10, folds=4, seed=3)
         b = rank_novel(ds, fixed_learner(fit_wknn, 2, 0.8), "S3", 10, folds=4, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("setting,folds", [("S2", 5), ("S3", 4), ("S4", 3)])
+    def test_equals_direct_per_fold_fill(self, setting, folds):
+        ds = random_dataset(12, 9, seed=30)
+        learner = fixed_learner(fit_wknnir, 3, 0.7)
+        expected = np.full((ds.n, ds.m), np.nan)
+        for fold in generate_folds(ds, CvPlan(setting, folds, repetitions=1, seed=5)):
+            model = learner(subset(ds, fold.train_drugs, fold.train_targets))
+            dp = ds.drug_sim[np.ix_(fold.test_drugs, fold.train_drugs)]
+            tp = ds.target_sim[np.ix_(fold.test_targets, fold.train_targets)]
+            if setting == "S2":
+                expected[fold.test_drugs, :] = model.predict_s2(dp)
+            elif setting == "S3":
+                expected[:, fold.test_targets] = model.predict_s3(tp).T
+            else:
+                expected[np.ix_(fold.test_drugs, fold.test_targets)] = model.predict_s4(dp, tp)
+        assert not np.isnan(expected).any()
+        rows, cols = np.nonzero(ds.interactions == 0)
+        want = sorted(
+            ((ds.drug_ids[i], ds.target_ids[j], float(expected[i, j])) for i, j in zip(rows, cols)),
+            key=lambda r: (-r[2], r[0], r[1]),
+        )
+        assert rank_novel(ds, learner, setting, len(want), folds=folds, seed=5) == want
 
     def test_rejects_bad_top_n(self, f1):
         with pytest.raises(ValueError, match="top_n"):
