@@ -142,7 +142,11 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _build_learner(args, setting: str):
+def _inner_folds(args) -> int:
+    return args.inner_folds if args.inner_folds is not None else INNER_FOLDS[args.setting]
+
+
+def _build_learner(args):
     """Fixed or tuned learner per flags, optionally wrapped in an ensemble."""
     factory = base_factory(args.method)
     if args.ensemble != "none":
@@ -155,8 +159,7 @@ def _build_learner(args, setting: str):
     if args.k is not None:
         return fixed_learner(final, args.k, args.eta)
     grid = ParamGrid(args.grid_k, args.grid_eta)
-    inner = args.inner_folds if args.inner_folds is not None else INNER_FOLDS[setting]
-    return tuned_learner(factory, grid, setting, inner, args.seed, final_factory=final)
+    return tuned_learner(factory, grid, args.setting, _inner_folds(args), args.seed, final_factory=final)
 
 
 def _method_label(args) -> str:
@@ -167,7 +170,7 @@ def _method_label(args) -> str:
 
 def cmd_cv(args) -> int:
     ds = _load(args)
-    learner = _build_learner(args, args.setting)
+    learner = _build_learner(args)
     folds = args.folds if args.folds is not None else OUTER_FOLDS[args.setting]
     plan = CvPlan(args.setting, folds, args.reps, args.seed)
     result = run_cv(ds, learner, plan, threads=args.threads)
@@ -183,7 +186,7 @@ def cmd_cv(args) -> int:
 
 def cmd_tune(args) -> int:
     ds = _load(args)
-    inner = args.inner_folds if args.inner_folds is not None else INNER_FOLDS[args.setting]
+    inner = _inner_folds(args)
     plan = CvPlan(args.setting, inner, repetitions=1, seed=args.seed)
     grid = ParamGrid(args.grid_k, args.grid_eta)
     best = tune_hyperparameters(ds, grid, plan, inner, base_factory(args.method))
@@ -194,7 +197,7 @@ def cmd_tune(args) -> int:
 
 def cmd_rank_novel(args) -> int:
     ds = _load(args)
-    learner = _build_learner(args, args.setting)
+    learner = _build_learner(args)
     ranked = rank_novel(ds, learner, args.setting, args.top_n, folds=args.folds, seed=args.seed)
     rows = [(d, t, _float_cell(s)) for d, t, s in ranked]
     _emit(_csv_text(("drug_id", "target_id", "score"), rows), args.out)
@@ -218,13 +221,23 @@ def _add_dataset_args(p):
     )
 
 
-def _add_model_args(p):
+def _add_search_args(p):
+    """Flags of tune, cv and rank-novel: setting, method, grid and output."""
+    p.add_argument("--setting", choices=SETTINGS, required=True)
     p.add_argument("--method", choices=("wknn", "wknnir"), default="wknnir")
-    p.add_argument("--k", type=int, default=None, help="neighborhood size; omit to tune")
-    p.add_argument("--eta", type=float, default=None, help="decay coefficient; omit to tune")
     p.add_argument("--grid-k", type=_int_list, default=DEFAULT_GRID.k_values, help="comma-separated k grid")
     p.add_argument("--grid-eta", type=_float_list, default=DEFAULT_GRID.eta_values, help="comma-separated eta grid")
     p.add_argument("--inner-folds", type=int, default=None, help="inner CV folds (default: 5 for S2/S3, 2 for S4)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
+
+
+def _add_model_args(p):
+    """Flags of cv and rank-novel: outer folds, fixed parameters and the ensemble."""
+    _add_search_args(p)
+    p.add_argument("--folds", type=int, default=None, help="outer folds (default: 10 for S2/S3, 3 for S4)")
+    p.add_argument("--k", type=int, default=None, help="neighborhood size; omit to tune")
+    p.add_argument("--eta", type=float, default=None, help="decay coefficient; omit to tune")
     p.add_argument("--ensemble", choices=("none", *ENSEMBLE_FLAGS), default="none")
     p.add_argument("--q", type=int, default=30, help="ensemble size")
     p.add_argument("--ratio", type=float, default=0.95, help="subset sampling ratio R")
@@ -259,33 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="cross-validated AUPR as CSV")
     _add_dataset_args(p)
     _add_model_args(p)
-    p.add_argument("--setting", choices=SETTINGS, required=True)
-    p.add_argument("--folds", type=int, default=None, help="outer folds (default: 10 for S2/S3, 3 for S4)")
     p.add_argument("--reps", type=int, default=2, help="CV repetitions")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1, help="max concurrent folds")
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("tune", help="grid-search (k, eta) on the full dataset")
     _add_dataset_args(p)
-    p.add_argument("--method", choices=("wknn", "wknnir"), default="wknnir")
-    p.add_argument("--setting", choices=SETTINGS, required=True)
-    p.add_argument("--grid-k", type=_int_list, default=DEFAULT_GRID.k_values)
-    p.add_argument("--grid-eta", type=_float_list, default=DEFAULT_GRID.eta_values)
-    p.add_argument("--inner-folds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _add_search_args(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("rank-novel", help="top unobserved pairs by held-out score")
     _add_dataset_args(p)
     _add_model_args(p)
-    p.add_argument("--setting", choices=SETTINGS, required=True)
     p.add_argument("--top-n", type=int, default=10)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rank_novel)
 
     return parser

@@ -180,12 +180,14 @@ def _parse_grid(path: Path) -> tuple[list[str], list[str], np.ndarray]:
     return row_ids, col_ids, np.array(rows, dtype=float)
 
 
-def _reorder_similarity(
-    path: Path, ids: list[str], matrix: np.ndarray, wanted: tuple[str, ...], label: str
-) -> np.ndarray:
-    """Reorder a square similarity matrix to the interaction-file ID order."""
-    if matrix.shape[0] != matrix.shape[1]:
-        raise DatasetError(f"{path}: {label} similarity matrix is not square")
+def _load_similarity(path: Path, wanted: tuple[str, ...], label: str) -> np.ndarray:
+    """Read a similarity TSV and reorder it to the interaction-file ID order.
+
+    Equal row and column ID lists make the matrix square.
+    """
+    ids, cols, matrix = _parse_grid(path)
+    if ids != cols:
+        raise DatasetError(f"{path}: row and column IDs differ")
     if len(ids) != len(wanted) or set(ids) != set(wanted):
         missing = sorted(set(wanted) - set(ids))[:3]
         extra = sorted(set(ids) - set(wanted))[:3]
@@ -215,9 +217,6 @@ def load_dataset(
     if orientation not in ORIENTATIONS:
         raise DatasetError(f"unknown orientation {orientation!r}; expected one of {ORIENTATIONS}")
     interaction_path = Path(interaction_path)
-    drug_sim_path = Path(drug_sim_path)
-    target_sim_path = Path(target_sim_path)
-
     row_ids, col_ids, inter = _parse_grid(interaction_path)
     if orientation == "target-rows":
         row_ids, col_ids = col_ids, row_ids
@@ -229,17 +228,8 @@ def load_dataset(
         raise DatasetError(f"{interaction_path}: duplicate target IDs")
     if not np.isin(np.unique(inter), (0.0, 1.0)).all():
         raise DatasetError(f"{interaction_path}: non-binary interaction values")
-
-    d_ids, d_cols, d_sim = _parse_grid(drug_sim_path)
-    if d_ids != d_cols:
-        raise DatasetError(f"{drug_sim_path}: row and column IDs differ")
-    drug_sim = _reorder_similarity(drug_sim_path, d_ids, d_sim, drug_ids, "drug")
-
-    t_ids, t_cols, t_sim = _parse_grid(target_sim_path)
-    if t_ids != t_cols:
-        raise DatasetError(f"{target_sim_path}: row and column IDs differ")
-    target_sim = _reorder_similarity(target_sim_path, t_ids, t_sim, target_ids, "target")
-
+    drug_sim = _load_similarity(Path(drug_sim_path), drug_ids, "drug")
+    target_sim = _load_similarity(Path(target_sim_path), target_ids, "target")
     ds = DtiDataset(drug_ids, target_ids, drug_sim, target_sim, inter)
     findings = validate_dataset(ds)
     errors = [f for f in findings if f.severity == "error"]
@@ -256,10 +246,10 @@ def _format_value(x: float) -> str:
     return repr(float(x))
 
 
-def write_matrix(path, matrix: np.ndarray, row_ids, col_ids, corner: str = ""):
-    """Write a matrix as TSV with ID header row and column."""
+def write_matrix(path, matrix: np.ndarray, row_ids, col_ids):
+    """Write a matrix as TSV with ID header row and column; the corner cell is empty."""
     path = Path(path)
-    lines = ["\t".join([corner, *col_ids])]
+    lines = ["\t".join(["", *col_ids])]
     for rid, row in zip(row_ids, np.asarray(matrix)):
         lines.append("\t".join([rid, *(_format_value(v) for v in row)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -287,9 +277,11 @@ def subset(ds: DtiDataset, drug_idx, target_idx) -> DtiDataset:
 
 
 def dataset_stats(ds: DtiDataset, k: int) -> DatasetStats:
-    """Counts, exact sparsity, and the local-imbalance report at size k."""
-    n, m = ds.n, ds.m
-    if not 1 <= k <= min(n, m) - 1:
-        raise ValueError(f"k={k} out of range [1, {min(n, m) - 1}]")
+    """Counts, exact sparsity, and the local-imbalance report at size k.
+
+    ``imbalance_report`` rejects a k outside [1, side size - 1] and a
+    dataset without interactions.
+    """
+    report = imbalance_report(ds, k)
     count = int(round(float(ds.interactions.sum())))
-    return DatasetStats(n, m, count, Fraction(count, n * m), imbalance_report(ds, k))
+    return DatasetStats(ds.n, ds.m, count, Fraction(count, ds.n * ds.m), report)

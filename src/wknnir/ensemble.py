@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import DtiDataset, subset
 from .imbalance import _clamped_report
-from .models import WkNNIRModel, WkNNModel, _check_profiles, _NeighborPredictor
+from .models import _check_profiles, _NeighborPredictor
 
 __all__ = [
     "SamplingStrategy",
@@ -46,8 +46,8 @@ class SamplingStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown sampling strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma!r}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma!r}")
         if self.kind == "local" and self.k < 1:
             raise ValueError(f"local strategy needs k >= 1, got {self.k!r}")
 
@@ -67,7 +67,6 @@ class EnsembleModel:
 
     dataset: DtiDataset
     members: tuple
-    base_kind: str
 
     @property
     def q(self) -> int:
@@ -122,9 +121,8 @@ class EnsembleModel:
 
 def sampling_probabilities(ds: DtiDataset, strategy: SamplingStrategy):
     """Per-entity sampling weights, one simplex vector per side."""
-    n, m = ds.n, ds.m
     if strategy.kind == "uniform":
-        return np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+        return np.full(ds.n, 1.0 / ds.n), np.full(ds.m, 1.0 / ds.m)
     report = _clamped_report(ds, strategy.k) if strategy.kind == "local" else None
     if report is None:
         # Counts serve `global`, and `local` where the data carries no imbalance evidence.
@@ -132,11 +130,12 @@ def sampling_probabilities(ds: DtiDataset, strategy: SamplingStrategy):
         target_w = ds.interactions.sum(axis=0)
     else:
         drug_w, target_w = report.drug_importance, report.target_importance
-    sigma = strategy.sigma
-    return (
-        (sigma + drug_w) / (n * sigma + drug_w.sum()),
-        (sigma + target_w) / (m * sigma + target_w.sum()),
-    )
+    probs = []
+    for w in (drug_w, target_w):
+        total = w.size * strategy.sigma + w.sum()
+        # sigma = 0 on an all-zero side: uniform, the sigma -> 0+ limit and what any sigma > 0 gives.
+        probs.append((strategy.sigma + w) / total if total > 0 else np.full(w.size, 1.0 / w.size))
+    return tuple(probs)
 
 
 def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
@@ -155,7 +154,8 @@ def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"probs must be 1-D, got shape {p.shape}")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    # Phrased so that NaN fails too.
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("probs is not a probability vector")
     if not 1 <= count <= p.size:
         raise ValueError(f"count={count} out of range [1, {p.size}]")
@@ -178,14 +178,6 @@ def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
 
 def _subset_size(total: int, ratio: float) -> int:
     return min(total, max(1, int(round(total * ratio))))
-
-
-def _base_kind(model) -> str:
-    if isinstance(model, WkNNIRModel):
-        return "wknnir"
-    if isinstance(model, WkNNModel):
-        return "wknn"
-    return type(model).__name__
 
 
 def train_ensemble(
@@ -211,5 +203,5 @@ def train_ensemble(
         targets = sample_without_replacement(p_target, m_draw, gen)
         model = base_factory(subset(ds, drugs, targets))
         members.append(EnsembleMember(model, drugs, targets))
-    return EnsembleModel(ds, tuple(members), _base_kind(members[0].model))
+    return EnsembleModel(ds, tuple(members))
 

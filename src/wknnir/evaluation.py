@@ -106,7 +106,6 @@ class CvResult:
     setting: str
     folds: tuple
     mean_aupr: float
-    params: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def _fold_scores(ds: DtiDataset, fold: Fold, model):
     return scores, np.ix_(drugs, targets)
 
 
-def run_cv(ds: DtiDataset, learner, plan: CvPlan, threads: int = 1, params: dict | None = None) -> CvResult:
+def run_cv(ds: DtiDataset, learner, plan: CvPlan, threads: int = 1) -> CvResult:
     """Fit on each fold's training block, score its test pairs, average AUPR."""
     folds = generate_folds(ds, plan)
 
@@ -228,7 +227,7 @@ def run_cv(ds: DtiDataset, learner, plan: CvPlan, threads: int = 1, params: dict
         results = [run_one(f) for f in folds]
     values = [r.aupr for r in results if not math.isnan(r.aupr)]
     mean = float(np.mean(values)) if values else math.nan
-    return CvResult(plan.setting, tuple(results), mean, params)
+    return CvResult(plan.setting, tuple(results), mean)
 
 
 def tune_hyperparameters(ds: DtiDataset, grid: ParamGrid, plan: CvPlan, inner_folds: int, factory=fit_wknn) -> dict:

@@ -32,8 +32,6 @@ __all__ = [
     "fit_wknn",
     "build_recovery",
     "fit_wknnir",
-    "split_query",
-    "TRANSDUCTIVE_ERROR",
 ]
 
 TRANSDUCTIVE_ERROR = "transductive setting unsupported: both query entities are training indices"
@@ -69,19 +67,6 @@ def _query_part(value, size, side):
         raise ValueError(f"{side} profile must have length {size}, got shape {profile.shape}")
     _check_unit_range(profile, side)
     return None, profile
-
-
-def split_query(q: PairQuery, n: int, m: int):
-    """Validate a query against training dims; rejects the transductive case.
-
-    Returns ``(drug_index, drug_profile, target_index, target_profile)``
-    with exactly one of each pair set.
-    """
-    di, dp = _query_part(q.drug, n, "drug")
-    tj, tp = _query_part(q.target, m, "target")
-    if di is not None and tj is not None:
-        raise ValueError(TRANSDUCTIVE_ERROR)
-    return di, dp, tj, tp
 
 
 def _check_params(k, eta):
@@ -127,7 +112,7 @@ def _decay_scores(idx, sims, labels, eta):
     return out
 
 
-def _pair_grid_scores(drug_profiles, target_profiles, labels, k, eta, r_drug=1.0, r_target=1.0):
+def _pair_grid_scores(drug_profiles, target_profiles, labels, k, eta, r_drug, r_target):
     """Double-ring scores over the k x k neighbor grid -> (U, V).
 
     The decay exponent for drug rank i' and target rank j' (1-based) is
@@ -152,39 +137,34 @@ def _pair_grid_scores(drug_profiles, target_profiles, labels, k, eta, r_drug=1.0
 
 
 class _NeighborPredictor:
-    """Shared query plumbing; subclasses supply the label matrices."""
+    """Shared query plumbing.
 
-    def _labels_s2(self):
-        raise NotImplementedError
-
-    def _labels_s3(self):
-        raise NotImplementedError
-
-    def _labels_s4(self):
-        raise NotImplementedError
-
-    def _rank_scales(self):
-        return 1.0, 1.0
+    Subclasses supply ``_labels()``, the (S2, S3, S4) label matrices, and
+    the S4 decay rescalers ``r_drug`` and ``r_target``.
+    """
 
     def predict_s2(self, drug_profiles) -> np.ndarray:
         """Score new drugs against every training target: (U, n) -> (U, m)."""
         profiles = _check_profiles(drug_profiles, self.dataset.n, "drug")
-        return _decay_scores(*top_k(profiles, self.k), self._labels_s2(), self.eta)
+        return _decay_scores(*top_k(profiles, self.k), self._labels()[0], self.eta)
 
     def predict_s3(self, target_profiles) -> np.ndarray:
         """Score new targets against every training drug: (V, m) -> (V, n)."""
         profiles = _check_profiles(target_profiles, self.dataset.m, "target")
-        return _decay_scores(*top_k(profiles, self.k), self._labels_s3().T, self.eta)
+        return _decay_scores(*top_k(profiles, self.k), self._labels()[1].T, self.eta)
 
     def predict_s4(self, drug_profiles, target_profiles) -> np.ndarray:
         """Score new drugs x new targets: (U, n), (V, m) -> (U, V)."""
         dp = _check_profiles(drug_profiles, self.dataset.n, "drug")
         tp = _check_profiles(target_profiles, self.dataset.m, "target")
-        r_drug, r_target = self._rank_scales()
-        return _pair_grid_scores(dp, tp, self._labels_s4(), self.k, self.eta, r_drug, r_target)
+        return _pair_grid_scores(dp, tp, self._labels()[2], self.k, self.eta, self.r_drug, self.r_target)
 
     def predict(self, q: PairQuery) -> float:
-        di, dp, tj, tp = split_query(q, self.dataset.n, self.dataset.m)
+        """Score one pair; a pair of two training indices (transductive) is rejected."""
+        di, dp = _query_part(q.drug, self.dataset.n, "drug")
+        tj, tp = _query_part(q.target, self.dataset.m, "target")
+        if di is not None and tj is not None:
+            raise ValueError(TRANSDUCTIVE_ERROR)
         if tj is not None:
             return float(self.predict_s2(dp[None, :])[0, tj])
         if di is not None:
@@ -199,12 +179,12 @@ class WkNNModel(_NeighborPredictor):
     dataset: DtiDataset
     k: int
     eta: float
+    # Class constants, not fields: the baseline keeps the plain decay in S4.
+    r_drug = r_target = 1.0
 
-    def _labels_s2(self):
-        return self.dataset.interactions
-
-    _labels_s3 = _labels_s2
-    _labels_s4 = _labels_s2
+    def _labels(self):
+        y = self.dataset.interactions
+        return y, y, y
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,18 +254,10 @@ class WkNNIRModel(_NeighborPredictor):
     r_drug: float
     r_target: float
 
-    def _labels_s2(self):
+    def _labels(self):
         # New drug: target similarities did the recovery, drug similarities rank.
-        return self.recovery.y_target
-
-    def _labels_s3(self):
-        return self.recovery.y_drug
-
-    def _labels_s4(self):
-        return self.recovery.y_joint
-
-    def _rank_scales(self):
-        return self.r_drug, self.r_target
+        rec = self.recovery
+        return rec.y_target, rec.y_drug, rec.y_joint
 
 
 def fit_wknn(ds: DtiDataset, k: int, eta: float) -> WkNNModel:

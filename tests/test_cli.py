@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wknnir import (
+    DEFAULT_GRID,
     CvPlan,
     build_recovery,
     dataset_stats,
@@ -19,7 +20,7 @@ from wknnir import (
     ParamGrid,
     write_matrix,
 )
-from wknnir.cli import DATA_DIR_ENV, main
+from wknnir.cli import DATA_DIR_ENV, build_parser, main
 from conftest import random_dataset
 
 
@@ -240,6 +241,44 @@ class TestRankNovel:
         lines = out.read_text().splitlines()
         assert lines[0] == "drug_id,target_id,score"
         assert lines[1:] == [f"{d},{t},{s!r}" for d, t, s in expected]
+
+
+class TestSharedFlags:
+    RUN_COMMANDS = ("tune", "cv", "rank-novel")
+    DATASET = ["--interactions", "y.tsv", "--drug-sim", "sd.tsv", "--target-sim", "st.tsv"]
+
+    def parsed(self, *flags):
+        return {cmd: vars(build_parser().parse_args([cmd, *self.DATASET, *flags])) for cmd in self.RUN_COMMANDS}
+
+    def test_same_defaults(self):
+        want = {
+            "setting": "S4",
+            "method": "wknnir",
+            "grid_k": DEFAULT_GRID.k_values,
+            "grid_eta": DEFAULT_GRID.eta_values,
+            "inner_folds": None,
+            "seed": 0,
+            "out": None,
+        }
+        parsed = self.parsed("--setting", "S4")
+        for ns in parsed.values():
+            assert {key: ns[key] for key in want} == want
+        assert parsed["cv"]["folds"] is None and parsed["rank-novel"]["folds"] is None
+
+    def test_same_parsed_values(self):
+        flags = ["--setting", "S2", "--method", "wknn", "--grid-k", "1,3", "--grid-eta", "0.5,1"]
+        flags += ["--inner-folds", "3", "--seed", "7", "--out", "o.csv"]
+        want = {
+            "setting": "S2",
+            "method": "wknn",
+            "grid_k": (1, 3),
+            "grid_eta": (0.5, 1.0),
+            "inner_folds": 3,
+            "seed": 7,
+            "out": "o.csv",
+        }
+        for ns in self.parsed(*flags).values():
+            assert {key: ns[key] for key in want} == want
 
 
 class TestPathResolution:

@@ -92,6 +92,34 @@ class TestValidateDataset:
         ds = DtiDataset(("a", "b"), ("t0", "t1"), [[1, 0.5], [0.5, 1]], F1_TARGET_SIM, [[1, 0], [0, 1], [1, 1]])
         assert any(f.severity == "error" for f in validate_dataset(ds))
 
+    def test_duplicate_target_ids(self):
+        ds = DtiDataset(("d0", "d1", "d2"), ("t", "t"), F1_DRUG_SIM, F1_TARGET_SIM, F1_INTERACTIONS)
+        assert [f.message for f in validate_dataset(ds)] == ["duplicate target IDs"]
+
+    @pytest.mark.parametrize("side", ["drug", "target"])
+    def test_non_square_similarity(self, side):
+        sims = {"drug": F1_DRUG_SIM, "target": F1_TARGET_SIM, side: np.ones((2, 3))}
+        ds = DtiDataset(("d0", "d1", "d2"), ("t0", "t1"), sims["drug"], sims["target"], F1_INTERACTIONS)
+        findings = validate_dataset(ds)
+        assert [f.message for f in findings] == [f"{side} similarity matrix is not square: shape (2, 3)"]
+
+    @pytest.mark.parametrize("side", ["drug", "target"])
+    def test_wrong_size_similarity(self, side):
+        sims = {"drug": F1_DRUG_SIM, "target": F1_TARGET_SIM, side: np.eye(4)}
+        ds = DtiDataset(("d0", "d1", "d2"), ("t0", "t1"), sims["drug"], sims["target"], F1_INTERACTIONS)
+        count = 3 if side == "drug" else 2
+        findings = validate_dataset(ds)
+        assert [f.message for f in findings] == [f"{side} similarity side 4 does not match {side} count {count}"]
+
+    @pytest.mark.parametrize("n,m", [(0, 2), (3, 0)])
+    def test_empty_side(self, n, m):
+        ds = DtiDataset(
+            tuple(f"d{i}" for i in range(n)), tuple(f"t{j}" for j in range(m)), np.eye(n), np.eye(m), np.zeros((n, m))
+        )
+        findings = validate_dataset(ds)
+        assert [f.severity for f in findings] == ["error"]
+        assert f"(n={n}, m={m})" in findings[0].message
+
 
 class TestLoadDataset:
     def test_round_trip_identity(self, tmp_path, f1):
@@ -181,6 +209,32 @@ class TestLoadDataset:
         _, paths = write_f1(tmp_path)
         paths[1].write_text(paths[1].read_text().replace("0.8", "nan"))
         with pytest.raises(DatasetError, match="drug similarity values outside"):
+            load_dataset(*paths)
+
+    @pytest.mark.parametrize("side", ["drug", "target"])
+    def test_duplicate_interaction_ids_rejected(self, tmp_path, side):
+        _, paths = write_f1(tmp_path)
+        text = paths[0].read_text()
+        text = text.replace("\nd1\t", "\nd0\t") if side == "drug" else text.replace("\tt1\n", "\tt0\n", 1)
+        paths[0].write_text(text)
+        with pytest.raises(DatasetError, match=f"duplicate {side} IDs"):
+            load_dataset(*paths)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_similarity_row_and_column_ids_differ_rejected(self, tmp_path, which):
+        # Same IDs in a different order: rows and columns must list them alike.
+        _, paths = write_f1(tmp_path)
+        header, *rows = paths[which].read_text().splitlines()
+        ids = header.split("\t")[1:]
+        paths[which].write_text("\n".join(["\t".join(["", *ids[::-1]]), *rows]) + "\n")
+        with pytest.raises(DatasetError, match="row and column IDs differ"):
+            load_dataset(*paths)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_header_only_file_rejected(self, tmp_path, which):
+        _, paths = write_f1(tmp_path)
+        paths[which].write_text(paths[which].read_text().splitlines()[0] + "\n")
+        with pytest.raises(DatasetError, match="expected a header row and at least one data row"):
             load_dataset(*paths)
 
     def test_unknown_orientation_rejected(self, tmp_path):

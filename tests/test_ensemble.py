@@ -8,6 +8,8 @@ from wknnir import (
     EnsembleModel,
     PairQuery,
     SamplingStrategy,
+    WkNNIRModel,
+    WkNNModel,
     fit_wknn,
     fit_wknnir,
     imbalance_report,
@@ -17,6 +19,10 @@ from wknnir import (
     train_ensemble,
 )
 from conftest import make_dataset, random_dataset
+
+
+def _without_interactions(ds):
+    return make_dataset(ds.drug_sim, ds.target_sim, np.zeros((ds.n, ds.m)))
 
 
 class TestSamplingStrategy:
@@ -30,6 +36,8 @@ class TestSamplingStrategy:
             {"kind": "weighted"},
             {"kind": "global", "sigma": -0.1},
             {"kind": "local", "k": 0},
+            {"kind": "global", "sigma": float("nan")},
+            {"kind": "local", "sigma": float("inf")},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
@@ -106,6 +114,25 @@ class TestSamplingProbabilities:
         p_drug, _ = sampling_probabilities(ds, SamplingStrategy("global", sigma=0.0))
         assert p_drug[1] == 0.0
         assert abs(p_drug.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_zero_sigma_on_an_all_zero_side_is_uniform(self, kind):
+        # No interactions: every weight is 0, so sigma = 0 leaves 0 / 0.
+        # The answer is the sigma -> 0+ limit, which any sigma > 0 gives.
+        ds = _without_interactions(random_dataset(5, 4, seed=1))
+        p_drug, p_target = sampling_probabilities(ds, SamplingStrategy(kind, sigma=0.0, k=2))
+        np.testing.assert_array_equal(p_drug, np.full(5, 1.0 / 5))
+        np.testing.assert_array_equal(p_target, np.full(4, 1.0 / 4))
+        for a, b in zip((p_drug, p_target), sampling_probabilities(ds, SamplingStrategy(kind, sigma=1e-3, k=2))):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
+
+    def test_zero_sigma_without_interactions_draws_distinct_members(self):
+        ds = _without_interactions(random_dataset(6, 5, seed=2))
+        ens = train_ensemble(ds, lambda sub: fit_wknn(sub, 2, 0.8), 6, 1.0, SamplingStrategy("global", sigma=0.0))
+        for mem in ens.members:
+            np.testing.assert_array_equal(np.sort(mem.drug_subset), np.arange(6))
+            np.testing.assert_array_equal(np.sort(mem.target_subset), np.arange(5))
+        assert len({tuple(mem.drug_subset) for mem in ens.members}) > 1
 
 
 class TestSampleWithoutReplacement:
@@ -200,6 +227,8 @@ class TestSampleWithoutReplacement:
             ([[0.5, 0.5]], 1),  # not 1-D
             ([0.5, 0.5], 0),  # empty draw
             ([0.5, 0.5], 3),  # more than available
+            ([float("nan")] * 3, 2),  # NaN mass
+            ([float("nan"), 0.5, 0.5], 1),  # NaN among valid mass
         ],
     )
     def test_rejects_bad_arguments(self, probs, count):
@@ -243,8 +272,9 @@ class TestTrainEnsembleShape:
     def test_base_kind_labels(self, f1):
         wknn = train_ensemble(f1, lambda sub: fit_wknn(sub, 1, 0.8), 1, 1.0, SamplingStrategy("uniform"))
         wknnir = train_ensemble(f1, lambda sub: fit_wknnir(sub, 1, 0.8), 1, 1.0, SamplingStrategy("uniform"))
-        assert wknn.base_kind == "wknn"
-        assert wknnir.base_kind == "wknnir"
+        # The members carry the base model kind; the ensemble itself records none.
+        assert all(type(mem.model) is WkNNModel for mem in wknn.members)
+        assert all(type(mem.model) is WkNNIRModel for mem in wknnir.members)
 
     def test_deterministic_given_seed(self):
         ds = random_dataset(10, 8, seed=3)
@@ -333,7 +363,7 @@ class TestSelectiveAveraging:
             drugs = np.asarray(drugs)
             targets = np.roll(keep, i)
             members.append(EnsembleMember(fit_wknn(subset(ds, drugs, targets), 2, 0.8), drugs, targets))
-        return EnsembleModel(ds, tuple(members), "wknn")
+        return EnsembleModel(ds, tuple(members))
 
     def test_uncovered_target_falls_back_to_pairwise_setting(self, f1):
         ens = self._ensemble_missing_target(f1, 1)
@@ -352,7 +382,7 @@ class TestSelectiveAveraging:
             drugs = np.roll(keep, i)
             targets = np.array([0, 1])
             members.append(EnsembleMember(fit_wknn(subset(f1, drugs, targets), 1, 0.8), drugs, targets))
-        ens = EnsembleModel(f1, tuple(members), "wknn")
+        ens = EnsembleModel(f1, tuple(members))
         profiles = np.random.default_rng(13).random((4, 2))
         got = ens.predict_s3(profiles)
         expected = ens.predict_s4(f1.drug_sim[0][None, :], profiles)[0, :]

@@ -11,6 +11,8 @@ from wknnir import (
     EnsembleModel,
     ParamGrid,
     SamplingStrategy,
+    WkNNIRModel,
+    WkNNModel,
     aupr,
     base_factory,
     ensemble_factory,
@@ -327,11 +329,6 @@ class TestRunCv:
             assert (a.repetition, a.index, a.pairs, a.positives) == (b.repetition, b.index, b.pairs, b.positives)
             assert a.aupr == b.aupr or (math.isnan(a.aupr) and math.isnan(b.aupr))
 
-    def test_params_are_recorded(self):
-        ds = random_dataset(8, 6, seed=13)
-        result = run_cv(ds, _Flat, CvPlan("S2", 2, repetitions=1), params={"k": 2, "eta": 0.8})
-        assert result.params == {"k": 2, "eta": 0.8}
-
     def test_mean_stays_in_unit_interval(self):
         for setting, folds in (("S2", 3), ("S3", 3), ("S4", 2)):
             ds = random_dataset(9, 8, seed=14)
@@ -420,15 +417,17 @@ class TestLearnerFactories:
         final = ensemble_factory("wknn", q=2, ratio=1.0, strategy=SamplingStrategy("uniform"))
         model = tuned_learner(fit_wknn, ParamGrid((3,), (0.4,)), "S2", 3, final_factory=final)(ds)
         assert isinstance(model, EnsembleModel)
-        assert model.q == 2 and model.base_kind == "wknn"
+        assert model.q == 2
         for mem in model.members:
+            assert type(mem.model) is WkNNModel
             assert (mem.model.k, mem.model.eta) == (3, 0.4)
 
     def test_ensemble_factory_builds_members_with_given_params(self):
         ds = random_dataset(9, 7, seed=24)
         ens = ensemble_factory("wknnir", q=3, ratio=0.8, strategy=SamplingStrategy("global"), seed=5)(ds, 2, 0.9)
-        assert ens.q == 3 and ens.base_kind == "wknnir"
+        assert ens.q == 3
         for mem in ens.members:
+            assert type(mem.model) is WkNNIRModel
             assert (mem.model.k, mem.model.eta) == (2, 0.9)
 
 

@@ -10,6 +10,7 @@ from wknnir import (
     build_recovery,
     fit_wknn,
     fit_wknnir,
+    subset,
 )
 from conftest import make_dataset, random_dataset
 
@@ -92,6 +93,12 @@ class TestWkNNPredict:
             model.predict(PairQuery(np.array([0.8, 0.4, 1.3]), 0))
         with pytest.raises(IndexError):
             model.predict(PairQuery(np.array([0.8, 0.4, 0.0]), 7))
+
+    @pytest.mark.parametrize("query", [PairQuery(True, np.array([0.5, 0.2])), PairQuery(np.zeros(3), np.bool_(False))])
+    def test_bool_query_side_rejected(self, f1, query):
+        # bool is an int subclass; it must not pass for a training index.
+        with pytest.raises(TypeError, match="got bool"):
+            fit_wknn(f1, 2, 0.5).predict(query)
 
     def test_nan_profiles_rejected(self, f1):
         model = fit_wknn(f1, 2, 0.5)
@@ -317,3 +324,23 @@ class TestWkNNIR:
         model = fit_wknnir(f1, 1, 0.5)
         with pytest.raises(ValueError, match="transductive"):
             model.predict(PairQuery(1, 0))
+
+    @pytest.mark.parametrize("n,m", [(1, 5), (6, 1), (1, 1)])
+    def test_one_entity_side(self, n, m):
+        # S4 CV on small data and small ensemble subsets train on such sides.
+        full = random_dataset(max(n, 2), max(m, 2), seed=n + m, density=0.5)
+        ds = subset(full, np.arange(n), np.arange(m))
+        rng = np.random.default_rng(n * 10 + m)
+        for k, eta in ((1, 0.5), (3, 0.8), (5, 1.0)):
+            model = fit_wknnir(ds, k, eta)
+            rec = model.recovery
+            Y = ds.interactions
+            if n == 1:
+                np.testing.assert_array_equal(rec.y_drug, Y)
+            if m == 1:
+                np.testing.assert_array_equal(rec.y_target, Y)
+            assert (rec.li_drug, rec.li_target) == (0.0, 0.0)
+            assert (model.r_drug, model.r_target) == (1.0, 1.0)
+            dp, tp = rng.random((4, n)), rng.random((3, m))
+            for scores in (model.predict_s2(dp), model.predict_s3(tp), model.predict_s4(dp, tp)):
+                assert np.all((scores >= 0) & (scores <= 1))

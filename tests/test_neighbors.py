@@ -233,6 +233,11 @@ class TestNeighborTable:
         for i in range(8):
             assert i not in idx[i]
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            neighbor_table(np.ones(shape), 1)
+
 
 class _Recorder:
     """Member model that answers zeros and records the profiles it is shown."""
@@ -248,7 +253,7 @@ class _Recorder:
 
 def _one_member(ds, drug_subset, model):
     targets = np.arange(ds.m)
-    return EnsembleModel(ds, (EnsembleMember(model, np.asarray(drug_subset), targets),), "recorder")
+    return EnsembleModel(ds, (EnsembleMember(model, np.asarray(drug_subset), targets),))
 
 
 def _dataset(n):

@@ -10,8 +10,9 @@ def test_all_is_the_union_of_the_module_lists():
     expected = {name for module in MODULES for name in module.__all__} | {"neighbor_table", "__version__"}
     assert len(wknnir.__all__) == len(set(wknnir.__all__))
     assert set(wknnir.__all__) == expected
-    assert len(expected) == 47
-    assert "top_k" not in wknnir.__all__
+    assert len(expected) == 45
+    for private in ("top_k", "split_query", "TRANSDUCTIVE_ERROR"):
+        assert private not in wknnir.__all__
 
 
 def test_every_name_resolves_to_its_module_object():
