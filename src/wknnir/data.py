@@ -151,33 +151,46 @@ def validate_dataset(ds: DtiDataset) -> list[Finding]:
 
 
 def _parse_grid(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    """Read a TSV matrix with a header row and header column."""
+    """Read a TSV matrix with a header row and header column.
+
+    Blank lines are skipped; error messages give the file's own line
+    numbers. Each row is converted by one numpy assignment, which parses
+    with ``float()``; only a row that fails is walked cell by cell, to
+    name the bad cell.
+    """
     text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) < 2:
         raise DatasetError(f"{path}: expected a header row and at least one data row")
-    header = lines[0].split("\t")
-    col_ids = [c.strip() for c in header[1:]]
+    col_ids = [c.strip() for c in lines[0][1].split("\t")[1:]]
     row_ids: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    out = np.empty((len(lines) - 1, len(col_ids)))
+    for r, (lineno, line) in enumerate(lines[1:]):
         cells = line.split("\t")
         if len(cells) != len(col_ids) + 1:
             raise DatasetError(
                 f"{path}:{lineno}: dimension mismatch: {len(cells) - 1} cells, header has {len(col_ids)} columns"
             )
         row_ids.append(cells[0].strip())
-        values = []
-        for col, cell in enumerate(cells[1:], start=1):
-            cell = cell.strip()
-            if not cell:
-                raise DatasetError(f"{path}:{lineno}: missing value in column {col}")
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
-        rows.append(values)
-    return row_ids, col_ids, np.array(rows, dtype=float)
+        try:
+            out[r] = cells[1:]
+        except ValueError:
+            out[r] = _parse_cells(path, lineno, cells[1:])
+    return row_ids, col_ids, out
+
+
+def _parse_cells(path: Path, lineno: int, cells: list[str]) -> list[float]:
+    """Convert one row cell by cell, raising on the first bad cell."""
+    values = []
+    for col, cell in enumerate(cells, start=1):
+        cell = cell.strip()
+        if not cell:
+            raise DatasetError(f"{path}:{lineno}: missing value in column {col}")
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
+    return values
 
 
 def _load_similarity(path: Path, wanted: tuple[str, ...], label: str) -> np.ndarray:
@@ -251,7 +264,8 @@ def write_matrix(path, matrix: np.ndarray, row_ids, col_ids):
     path = Path(path)
     lines = ["\t".join(["", *col_ids])]
     for rid, row in zip(row_ids, np.asarray(matrix)):
-        lines.append("\t".join([rid, *(_format_value(v) for v in row)]))
+        # Python scalars give the same text as numpy scalars, and format faster.
+        lines.append("\t".join([rid, *map(_format_value, row.tolist())]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -267,13 +281,19 @@ def subset(ds: DtiDataset, drug_idx, target_idx) -> DtiDataset:
     drug_idx = np.asarray(drug_idx, dtype=int)
     target_idx = np.asarray(target_idx, dtype=int)
     # Rows, then columns: two one-axis gathers are cheaper than one np.ix_ gather.
-    return DtiDataset(
-        tuple(ds.drug_ids[i] for i in drug_idx),
-        tuple(ds.target_ids[j] for j in target_idx),
-        ds.drug_sim.take(drug_idx, axis=0).take(drug_idx, axis=1),
-        ds.target_sim.take(target_idx, axis=0).take(target_idx, axis=1),
-        ds.interactions.take(drug_idx, axis=0).take(target_idx, axis=1),
+    # The gathers are new C-contiguous float arrays, so they are frozen in
+    # place; DtiDataset() would copy them once more.
+    out = object.__new__(DtiDataset)
+    vars(out).update(
+        drug_ids=tuple(ds.drug_ids[i] for i in drug_idx),
+        target_ids=tuple(ds.target_ids[j] for j in target_idx),
+        drug_sim=ds.drug_sim.take(drug_idx, axis=0).take(drug_idx, axis=1),
+        target_sim=ds.target_sim.take(target_idx, axis=0).take(target_idx, axis=1),
+        interactions=ds.interactions.take(drug_idx, axis=0).take(target_idx, axis=1),
     )
+    for arr in (out.drug_sim, out.target_sim, out.interactions):
+        arr.setflags(write=False)
+    return out
 
 
 def dataset_stats(ds: DtiDataset, k: int) -> DatasetStats:

@@ -45,26 +45,6 @@ def _check_k(k: int, limit: int, side: str):
         raise ValueError(f"k={k} out of range [1, {limit}] on the {side} side")
 
 
-def _pair_imbalance_matrices(ds: "DtiDataset", k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair neighborhood disagreement rates, both sides at once.
-
-    Returns ``(drug_pair, target_pair)``, each (n, m). ``drug_pair[i, j]``
-    is the fraction of drug i's k nearest drugs whose label for target j
-    differs from Y[i, j]; ``target_pair[i, j]`` is the same over target
-    j's k nearest targets.
-    """
-    Y = ds.interactions
-    _check_k(k, ds.n - 1, "drug")
-    _check_k(k, ds.m - 1, "target")
-    d_idx, _ = neighbor_table(ds.drug_sim, k)
-    t_idx, _ = neighbor_table(ds.target_sim, k)
-    # Y[d_idx] is (n, k, m): the label rows of each drug's neighbors.
-    drug_pair = (Y[d_idx] != Y[:, None, :]).mean(axis=1)
-    # Y.T[t_idx] is (m, k, n): the label columns of each target's neighbors.
-    target_pair = (Y.T[t_idx] != Y.T[:, None, :]).mean(axis=1).T
-    return drug_pair, target_pair
-
-
 def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
     """All imbalance quantities at one k, ranking each similarity matrix once.
 
@@ -75,13 +55,29 @@ def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
     total = Y.sum()
     if total == 0:
         raise ValueError("no interactions; local imbalance is undefined")
-    drug_pair, target_pair = _pair_imbalance_matrices(ds, k)
+    _check_k(k, ds.n - 1, "drug")
+    _check_k(k, ds.m - 1, "target")
+    d_idx, _ = neighbor_table(ds.drug_sim, k)
+    t_idx, _ = neighbor_table(ds.target_sim, k)
+    # drug_pair[i, j] is the fraction of drug i's k nearest drugs whose
+    # label for target j differs from Y[i, j]; target_pair the same over
+    # target j's k nearest targets. Both are read only through their
+    # product with Y, so they are computed at interacting pairs and left 0
+    # elsewhere. target_pair is built transposed, as when it was computed
+    # from the target side: the products keep their layout, and with it
+    # the rounding of every sum below.
+    I, J = np.nonzero(Y != 0)  # the same pairs as np.nonzero(Y), found about twice as fast
+    y = Y[I, J][:, None]
+    drug_pair, target_pair = np.zeros(Y.shape), np.zeros(Y.shape[::-1]).T
+    drug_pair[I, J] = (Y[d_idx[I], J[:, None]] != y).mean(axis=1)
+    target_pair[I, J] = (Y[I[:, None], t_idx[J]] != y).mean(axis=1)
+    drug_pair, target_pair = drug_pair * Y, target_pair * Y
     return ImbalanceReport(
         k=k,
-        li_drug=float((drug_pair * Y).sum() / total),
-        li_target=float((target_pair * Y).sum() / total),
-        drug_importance=(drug_pair * Y).sum(axis=1),
-        target_importance=(target_pair * Y).sum(axis=0),
+        li_drug=float(drug_pair.sum() / total),
+        li_target=float(target_pair.sum() / total),
+        drug_importance=drug_pair.sum(axis=1),
+        target_importance=target_pair.sum(axis=0),
     )
 
 

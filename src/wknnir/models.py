@@ -96,7 +96,9 @@ def _decay_scores(idx, sims, labels, eta):
     ``idx`` and ``sims`` are (U, k) neighbor indices and similarities,
     best first; ``labels`` is (L, C) over the neighbor candidates.
     score[u, c] = sum_a eta^a * s[u, a] * labels[idx[u, a], c] / sum_a s[u, a]
-    with a running over ranks. Zero normalizer gives 0.
+    with a running over ranks. Zero normalizer gives 0. This dense form
+    serves ``predict_s2``/``predict_s3``, whose labels are recovered
+    matrices; ``_recover_rows`` adds the same terms over the nonzeros only.
     """
     decay = eta ** np.arange(idx.shape[1], dtype=float)
     num = np.zeros((idx.shape[0], labels.shape[1]))
@@ -106,6 +108,11 @@ def _decay_scores(idx, sims, labels, eta):
     for a in range(idx.shape[1]):
         num += (decay[a] * sims[:, a])[:, None] * labels[idx[:, a], :]
         z += sims[:, a]
+    return _normalized(num, z)
+
+
+def _normalized(num, z):
+    """``num / z`` row by row, 0 where the normalizer is 0."""
     z = z[:, None]
     out = np.zeros_like(num)
     np.divide(num, z, out=out, where=z > 0)
@@ -210,26 +217,51 @@ class RecoverySet:
             object.__setattr__(self, name, arr)
 
 
-def _recover_rows(sim, Y, k, eta):
-    """Rebuild each row of Y from its k nearest rows under ``sim``.
+def _recover_rows(sim, labels, owner, other, k, eta):
+    """Rebuild each row of ``labels`` from its k nearest rows under ``sim``.
 
-    Row i becomes sum_h eta^(h'-1) * sim[i, h] * Y[h, :] / sum_h sim[i, h]
+    Row i becomes sum_h eta^(h'-1) * sim[i, h] * labels[h, :] / sum_h sim[i, h]
     over the self-excluded neighbors h of i. A zero normalizer gives a
     zero row and a lone entity keeps its row; either way the max with Y
     in ``build_recovery`` leaves the original.
+
+    ``(owner, other)`` are the nonzero entries of ``labels``, sorted by
+    owner row, and only they are visited. A zero label adds a signed zero
+    to the dense sum, which starts at +0.0 and so never changes by it:
+    with ranks added in order, the result is bit-identical to
+    ``_decay_scores`` on the dense labels. That holds for finite
+    similarities; ``load_dataset`` rejects others, so only a hand-built
+    ``DtiDataset`` could differ (inf * 0.0 is NaN in the dense sum).
     """
     n = sim.shape[0]
     if n < 2:
-        return np.array(Y, dtype=float)
-    return _decay_scores(*neighbor_table(sim, k), Y, eta)
+        return np.array(labels, dtype=float)
+    idx, sims = neighbor_table(sim, k)
+    values = labels[owner, other]
+    start = np.searchsorted(owner, np.arange(n + 1))  # row h holds entries start[h]:start[h + 1]
+    sizes = np.diff(start)
+    decay = eta ** np.arange(idx.shape[1], dtype=float)
+    num = np.zeros((n, labels.shape[1]))
+    z = np.zeros(n)
+    for a in range(idx.shape[1]):
+        h = idx[:, a]
+        count = sizes[h]
+        # Entry e of row h[u] goes to row u; each (u, column) once per rank.
+        u = np.repeat(np.arange(n), count)
+        e = np.arange(u.size) + np.repeat(start[h] - np.cumsum(count) + count, count)
+        num[u, other[e]] += (decay[a] * sims[:, a])[u] * values[e]
+        z += sims[:, a]
+    return _normalized(num, z)
 
 
 def build_recovery(ds: DtiDataset, k: int, eta: float) -> RecoverySet:
     """Complete the interaction matrix three ways at one (k, eta)."""
     _check_params(k, eta)
     Y = ds.interactions
-    y_drug_raw = _recover_rows(ds.drug_sim, Y, k, eta)
-    y_target_raw = _recover_rows(ds.target_sim, Y.T, k, eta).T
+    rows, cols = np.nonzero(Y != 0)  # the same pairs as np.nonzero(Y), found about twice as fast
+    by_col = np.argsort(cols, kind="stable")
+    y_drug_raw = _recover_rows(ds.drug_sim, Y, rows, cols, k, eta)
+    y_target_raw = _recover_rows(ds.target_sim, Y.T, cols[by_col], rows[by_col], k, eta).T
     report = _clamped_report(ds, k)
     # Without imbalance evidence both sides count as balanced.
     li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wknnir import DtiDataset
+from wknnir import DtiDataset, subset
 
 # 3 drugs x 2 targets, small enough to enumerate every quantity by hand.
 F1_DRUG_SIM = [[1.0, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.0]]
@@ -44,3 +44,41 @@ def random_dataset(n, m, seed, density=0.3):
 @pytest.fixture
 def f1():
     return make_dataset(F1_DRUG_SIM, F1_TARGET_SIM, F1_INTERACTIONS)
+
+
+def varied_dataset(rng):
+    """A hand-built dataset from the corners the sparse kernels must match.
+
+    Sides of 1 to 24 entities; similarities either distinct or quantised to
+    a few levels (tie-heavy), with some all-zero rows; labels binary or
+    non-binary in [0, 1], with all-zero rows and columns, negative zeros
+    and Fortran order mixed in. A third of the datasets are subsets in
+    draw order, as ensemble members see them.
+    """
+    n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+
+    def sim(size):
+        a = rng.random((size, size))
+        if rng.random() < 0.5:
+            a = np.round(a * rng.integers(1, 5)) / 4
+        a = (a + a.T) / 2
+        if size > 2 and rng.random() < 0.3:
+            zero = rng.integers(size)
+            a[zero, :] = a[:, zero] = 0.0
+        np.fill_diagonal(a, 1.0)
+        return a
+
+    Y = (rng.random((n, m)) < rng.random()).astype(float)
+    if rng.random() < 0.3:
+        Y *= np.round(rng.random((n, m)) * 4) / 4
+    if rng.random() < 0.3:
+        Y[rng.integers(n), :] = 0.0
+        Y[:, rng.integers(m)] = 0.0
+    if rng.random() < 0.2:
+        Y[Y == 0] = -0.0
+    if rng.random() < 0.2:
+        Y = np.asfortranarray(Y)
+    ds = make_dataset(sim(n), sim(m), Y)
+    if rng.random() < 1 / 3:
+        ds = subset(ds, rng.permutation(n)[: rng.integers(1, n + 1)], rng.permutation(m)[: rng.integers(1, m + 1)])
+    return ds

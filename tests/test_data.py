@@ -268,3 +268,71 @@ class TestDatasetStats:
     def test_k_out_of_range(self, f1):
         with pytest.raises(ValueError, match="out of range"):
             dataset_stats(f1, 2)  # min(n, m) - 1 == 1
+
+
+class TestParseLineNumbers:
+    """Errors name the file's own line, counting the blank lines too."""
+
+    @staticmethod
+    def load_with_interaction_text(tmp_path, text):
+        _, paths = write_f1(tmp_path)
+        paths[0].write_text(text, encoding="utf-8")
+        return load_dataset(*paths)
+
+    def test_non_numeric_after_blank_lines(self, tmp_path):
+        text = "\tt0\tt1\n\nd0\t1\t0\n\nd1\t0\tx\nd2\t1\t1\n"
+        with pytest.raises(DatasetError, match=r"y\.tsv:5: non-numeric value 'x'$"):
+            self.load_with_interaction_text(tmp_path, text)
+
+    def test_missing_value_after_blank_lines(self, tmp_path):
+        text = "\n\tt0\tt1\n \nd0\t1\t \nd1\t0\t1\nd2\t1\t1\n"
+        with pytest.raises(DatasetError, match=r"y\.tsv:4: missing value in column 2$"):
+            self.load_with_interaction_text(tmp_path, text)
+
+    def test_dimension_mismatch_after_blank_lines(self, tmp_path):
+        text = "\tt0\tt1\n\n\nd0\t1\t0\t1\nd1\t0\t1\nd2\t1\t1\n"
+        with pytest.raises(DatasetError, match=r"y\.tsv:4: dimension mismatch: 3 cells, header has 2 columns$"):
+            self.load_with_interaction_text(tmp_path, text)
+
+
+def per_scalar_text(matrix, row_ids, col_ids):
+    """``write_matrix``'s text as first written: the rule on each numpy scalar."""
+
+    def fmt(x):
+        if x == int(x):
+            return str(int(x))
+        return repr(float(x))
+
+    lines = ["\t".join(["", *col_ids])]
+    for rid, row in zip(row_ids, np.asarray(matrix)):
+        lines.append("\t".join([rid, *(fmt(v) for v in row)]))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteMatrix:
+    def test_same_bytes_as_per_scalar_formatting(self, tmp_path):
+        from wknnir.data import write_matrix
+
+        rng = np.random.default_rng(3)
+        special = [0.0, -0.0, 1.0, -1.0, 0.5, 1e16, 1e22, -3e300, 5e-324, 2.0**53 + 2, 0.1 + 0.2]
+        matrices = [rng.integers(-5, 5, size=(4, 6)), rng.random((4, 6)) < 0.5]
+        for _ in range(40):
+            matrix = rng.choice(special, size=(4, 6))
+            spread = rng.random((4, 6)) < 0.4
+            matrix[spread] = rng.random(int(spread.sum())) * 10 - 5
+            matrices.append(matrix)
+        ids = ([f"r{i}" for i in range(4)], [f"c{j}" for j in range(6)])
+        for matrix in matrices:
+            write_matrix(tmp_path / "m.tsv", matrix, *ids)
+            assert (tmp_path / "m.tsv").read_text(encoding="utf-8") == per_scalar_text(matrix, *ids)
+
+    @pytest.mark.parametrize("value,error", [(np.nan, ValueError), (np.inf, OverflowError), (-np.inf, OverflowError)])
+    def test_non_finite_raises_as_before(self, tmp_path, value, error):
+        from wknnir.data import write_matrix
+
+        matrix = np.ones((2, 2))
+        matrix[1, 0] = value
+        with pytest.raises(error):
+            per_scalar_text(matrix, ["a", "b"], ["c", "d"])
+        with pytest.raises(error):
+            write_matrix(tmp_path / "m.tsv", matrix, ["a", "b"], ["c", "d"])

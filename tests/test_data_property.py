@@ -1,0 +1,64 @@
+"""Property test: TSV cells are read exactly as ``float()`` reads them.
+
+``_parse_grid`` converts each row with one numpy assignment and walks a
+failing row cell by cell only to name the bad cell. Generated cells mix
+numbers in every spelling ``float()`` knows (padding, ``nan``, ``inf``,
+underscores, exponents, non-ASCII digits) with arbitrary text.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from wknnir import DatasetError  # noqa: E402
+from wknnir.data import _parse_grid  # noqa: E402
+
+# Characters that would end a line or a cell are left out: a cell holds neither.
+CELL_CHARS = st.characters(blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85  ", blacklist_categories=("Cs",))
+NUMERIC = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-Infinity", "+inf", "1_0", "1__0", "_1", "1e5", "1E-3", "2.5e+400"]),
+    st.sampled_from(["٣", "١٢.5", "１", "१e2", "1e٣"]),  # non-ASCII digits
+)
+PADDING = st.sampled_from(["", " ", "  ", " ", "\xa0", " 　"])
+CELLS = st.one_of(st.tuples(PADDING, NUMERIC, PADDING).map("".join), st.text(CELL_CHARS, max_size=6))
+
+
+def per_cell(cell):
+    """What the per-cell loop made of one cell: a float, or the error text."""
+    stripped = cell.strip()
+    if not stripped:
+        return "missing"
+    try:
+        return float(stripped)
+    except ValueError:
+        return "non-numeric"
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells=st.lists(CELLS, min_size=1, max_size=4), blank=st.integers(0, 2))
+def test_cells_read_as_float_reads_them(tmp_path, cells, blank):
+    path = tmp_path / "m.tsv"
+    ids = [f"c{j}" for j in range(len(cells))]
+    text = "\t".join(["", *ids]) + "\n" + "\n" * blank + "\t".join(["r0", *cells]) + "\n"
+    path.write_text(text, encoding="utf-8")
+    want = [per_cell(c) for c in cells]
+    bad = next((j for j, w in enumerate(want) if isinstance(w, str)), None)
+    if bad is None:
+        _, _, matrix = _parse_grid(path)
+        assert matrix.tobytes() == np.array([want], dtype=float).tobytes()
+        return
+    lineno = 2 + blank
+    message = (
+        f"{path}:{lineno}: missing value in column {bad + 1}"
+        if want[bad] == "missing"
+        else f"{path}:{lineno}: non-numeric value {cells[bad].strip()!r}"
+    )
+    with pytest.raises(DatasetError) as err:
+        _parse_grid(path)
+    assert str(err.value) == message

@@ -4,13 +4,43 @@ import numpy as np
 import pytest
 
 from wknnir import imbalance_report
-from wknnir.imbalance import _pair_imbalance_matrices
-from conftest import make_dataset, random_dataset
+from wknnir.neighbors import neighbor_table
+from conftest import make_dataset, random_dataset, varied_dataset
+
+
+def dense_pair_imbalance(ds, k):
+    """Per-pair neighborhood disagreement rates at every pair, both sides.
+
+    The dense formula ``imbalance_report`` was first written with, kept as
+    the reference: ``drug_pair[i, j]`` is the fraction of drug i's k
+    nearest drugs whose label for target j differs from Y[i, j];
+    ``target_pair[i, j]`` the same over target j's k nearest targets.
+    """
+    Y = ds.interactions
+    d_idx, _ = neighbor_table(ds.drug_sim, k)
+    t_idx, _ = neighbor_table(ds.target_sim, k)
+    drug_pair = (Y[d_idx] != Y[:, None, :]).mean(axis=1)
+    target_pair = (Y.T[t_idx] != Y.T[:, None, :]).mean(axis=1).T
+    return drug_pair, target_pair
+
+
+def dense_report(ds, k):
+    """Every ``ImbalanceReport`` field from the dense pair matrices."""
+    drug_pair, target_pair = dense_pair_imbalance(ds, k)
+    Y = ds.interactions
+    total = Y.sum()
+    return {
+        "k": k,
+        "li_drug": float((drug_pair * Y).sum() / total),
+        "li_target": float((target_pair * Y).sum() / total),
+        "drug_importance": (drug_pair * Y).sum(axis=1),
+        "target_importance": (target_pair * Y).sum(axis=0),
+    }
 
 
 def pair_local_imbalance(ds, i, j, k, side):
-    """One entry of the pair-imbalance matrix of one side."""
-    drug_pair, target_pair = _pair_imbalance_matrices(ds, k)
+    """One entry of the dense pair-imbalance matrix of one side."""
+    drug_pair, target_pair = dense_pair_imbalance(ds, k)
     return float((drug_pair if side == "drug" else target_pair)[i, j])
 
 
@@ -83,9 +113,9 @@ class TestPairLocalImbalance:
 
     def test_k_out_of_range(self, f1):
         with pytest.raises(ValueError, match="out of range .* drug side"):
-            _pair_imbalance_matrices(f1, 3)
+            imbalance_report(f1, 3)
         with pytest.raises(ValueError, match="out of range .* target side"):
-            _pair_imbalance_matrices(f1, 2)
+            imbalance_report(f1, 2)
 
 
 class TestDatasetLocalImbalance:
@@ -183,10 +213,27 @@ class TestImbalanceReport:
         for seed in range(5):
             ds = random_dataset(8, 6, seed)
             report = imbalance_report(ds, 2)
-            drug_pair, target_pair = _pair_imbalance_matrices(ds, 2)
+            drug_pair, target_pair = dense_pair_imbalance(ds, 2)
             Y = ds.interactions
             assert report.k == 2
             assert report.li_drug == (drug_pair * Y).sum() / Y.sum()
             assert report.li_target == (target_pair * Y).sum() / Y.sum()
             np.testing.assert_array_equal(report.drug_importance, (drug_pair * Y).sum(axis=1))
             np.testing.assert_array_equal(report.target_importance, (target_pair * Y).sum(axis=0))
+
+    def test_bit_identical_to_dense_formula(self):
+        # The report computes pair imbalance at interacting pairs only.
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 250:
+            ds = varied_dataset(rng)
+            if min(ds.n, ds.m) < 2 or ds.interactions.sum() == 0:
+                continue
+            for k in {1, int(rng.integers(1, min(ds.n, ds.m))), min(ds.n, ds.m) - 1}:
+                got, want = imbalance_report(ds, k), dense_report(ds, k)
+                assert got.k == want["k"]
+                for name in ("li_drug", "li_target"):
+                    assert np.float64(getattr(got, name)).tobytes() == np.float64(want[name]).tobytes()
+                for name in ("drug_importance", "target_importance"):
+                    assert getattr(got, name).tobytes() == want[name].tobytes()
+            checked += 1

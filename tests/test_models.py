@@ -12,7 +12,10 @@ from wknnir import (
     fit_wknnir,
     subset,
 )
-from conftest import make_dataset, random_dataset
+from wknnir.imbalance import _clamped_report
+from wknnir.models import _decay_scores
+from wknnir.neighbors import neighbor_table
+from conftest import make_dataset, random_dataset, varied_dataset
 
 
 def oracle_rank(profile, k):
@@ -50,6 +53,24 @@ def oracle_recover_rows(sim, Y, k, eta):
             for j in range(m):
                 out[i, j] = sum(eta**rank * sim[i, h] * Y[h, j] for rank, h in enumerate(nbr)) / z
     return out
+
+
+def dense_recovery(ds, k, eta):
+    """``build_recovery`` as first written: every label, zero or not, goes
+    through the dense kernel, the target side on ``Y.T``."""
+
+    def rows(sim, labels):
+        if sim.shape[0] < 2:
+            return np.array(labels, dtype=float)
+        return _decay_scores(*neighbor_table(sim, k), labels, eta)
+
+    Y = ds.interactions
+    y_drug_raw = rows(ds.drug_sim, Y)
+    y_target_raw = rows(ds.target_sim, Y.T).T
+    report = _clamped_report(ds, k)
+    li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)
+    y_joint_raw = ((1.0 - li_drug) * y_drug_raw + (1.0 - li_target) * y_target_raw) / 2.0
+    return np.maximum(y_drug_raw, Y), np.maximum(y_target_raw, Y), np.maximum(y_joint_raw, Y)
 
 
 class TestFitValidation:
@@ -193,6 +214,17 @@ class TestRecovery:
             want_t = np.maximum(oracle_recover_rows(ds.target_sim, Y.T, k, eta).T, Y)
             np.testing.assert_allclose(rec.y_drug, want_d, atol=1e-12)
             np.testing.assert_allclose(rec.y_target, want_t, atol=1e-12)
+
+    def test_bit_identical_to_dense_kernel(self):
+        # Recovery visits only the nonzero labels; the terms it skips are signed zeros.
+        rng = np.random.default_rng(77)
+        for _ in range(250):
+            ds = varied_dataset(rng)
+            k = int(rng.choice([1, 2, 3, 5, 9, max(ds.n, ds.m, 2) - 1, max(ds.n, ds.m) + 1]))
+            eta = float(rng.choice([0.3, 0.5, 0.8, 1.0, rng.random()]))
+            rec = build_recovery(ds, k, eta)
+            for got, want in zip((rec.y_drug, rec.y_target, rec.y_joint), dense_recovery(ds, k, eta)):
+                assert got.tobytes() == want.tobytes()
 
     def test_dominance_and_known_ones_preserved(self):
         for seed in range(20):
