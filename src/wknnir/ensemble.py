@@ -16,6 +16,7 @@ import numpy as np
 from .data import DtiDataset, subset
 from .imbalance import _clamped_report
 from .models import _check_profiles, _NeighborPredictor
+from .neighbors import _check_count
 
 __all__ = [
     "SamplingStrategy",
@@ -48,8 +49,8 @@ class SamplingStrategy:
             raise ValueError(f"unknown sampling strategy {self.kind!r}; expected one of {STRATEGY_KINDS}")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma!r}")
-        if self.kind == "local" and self.k < 1:
-            raise ValueError(f"local strategy needs k >= 1, got {self.k!r}")
+        if self.kind == "local":
+            _check_count(self.k, "k")
 
 
 @dataclass(frozen=True, eq=False)

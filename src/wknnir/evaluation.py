@@ -23,6 +23,7 @@ import numpy as np
 from .data import DtiDataset, subset
 from .ensemble import SamplingStrategy, train_ensemble
 from .models import fit_wknn, fit_wknnir
+from .neighbors import _check_count
 
 __all__ = [
     "SETTINGS",
@@ -62,10 +63,8 @@ class CvPlan:
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise ValueError(f"unknown setting {self.setting!r}; expected one of {SETTINGS}")
-        if self.folds < 2:
-            raise ValueError(f"need at least 2 folds, got {self.folds}")
-        if self.repetitions < 1:
-            raise ValueError(f"need at least 1 repetition, got {self.repetitions}")
+        _check_count(self.folds, "folds", 2)
+        _check_count(self.repetitions, "repetitions")
 
 
 @dataclass(frozen=True, eq=False)

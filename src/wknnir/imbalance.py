@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .neighbors import neighbor_table
+from .neighbors import _check_count, neighbor_table
 
 if TYPE_CHECKING:
     from .data import DtiDataset
@@ -55,6 +55,7 @@ def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
     total = Y.sum()
     if total == 0:
         raise ValueError("no interactions; local imbalance is undefined")
+    _check_count(k, "k")
     _check_k(k, ds.n - 1, "drug")
     _check_k(k, ds.m - 1, "target")
     d_idx, _ = neighbor_table(ds.drug_sim, k)

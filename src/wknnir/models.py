@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import DtiDataset
 from .imbalance import _clamped_report
-from .neighbors import neighbor_table, top_k
+from .neighbors import _check_count, neighbor_table, top_k
 
 __all__ = [
     "PairQuery",
@@ -70,8 +70,7 @@ def _query_part(value, size, side):
 
 
 def _check_params(k, eta):
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_count(k, "k")
     if not np.isfinite(eta) or not 0 <= eta <= 1:
         raise ValueError(f"eta must be in [0, 1], got {eta!r}")
 

@@ -2,17 +2,13 @@
 
 Similarities are given, not computed: every routine here just ranks them.
 Ordering is by descending similarity with ties broken by ascending index,
-and NaN last, which makes neighbor lists deterministic for any input: the
-picks are exactly the first k columns of a stable ``argsort`` of the
-negated rows.
+and NaN last: the picks are exactly the first k columns of a stable
+``argsort`` of the negated rows.
 
 Ranking partitions, then orders: ``np.partition`` finds each row's k-th
-value, and only the entries at or above it, in ascending column order,
-are stable-sorted. They are a prefix of the row's full stable order, so
-the result is the same. Where the candidates make up much of a row (a
-row with fewer than k non-NaN values, or a tie at the k-th value
-covering half of the columns, such as an all-zero row), the whole matrix
-is sorted instead, which is then cheaper.
+value, and one stable sort orders only the entries at or above it (every
+entry of a row with fewer than k non-NaN values), which are a prefix of
+the row's full stable order, whatever the ties.
 """
 
 from __future__ import annotations
@@ -20,6 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["neighbor_table", "top_k"]
+
+
+def _check_count(value, name: str, low: int = 1):
+    """Reject a count that is not an integer (``bool`` is not one) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"need an integer {name} >= {low}, got {name}={value!r}")
 
 
 def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -30,60 +32,38 @@ def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     rows, cols = similarities.shape
     k = min(k, cols)
+    if rows == 0 or k == 0:
+        order = np.empty((rows, k), dtype=np.intp)
+        return order, np.take_along_axis(similarities, order, axis=1)
     # Stable sort on negated values: descending similarity, ascending index on ties.
     neg = -similarities
-    found = _candidates(neg, k) if rows and 0 < k < cols else None
-    if found is None:
-        order = np.argsort(neg, axis=1, kind="stable")[:, :k]
-    else:
-        picks, keys = found
-        order = np.take_along_axis(picks, np.argsort(keys, axis=1, kind="stable")[:, :k], axis=1) % cols
-    return order, np.take_along_axis(similarities, order, axis=1)
-
-
-def _candidates(neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Every entry at or below its row's k-th smallest value of ``neg``.
-
-    Returns ``(picks, keys)``: flat indices into ``neg`` and their values,
-    one row per row of ``neg`` in ascending column order, padded at the
-    end with NaN keys, which a stable sort puts after every candidate.
-    Returns None, to sort the whole matrix instead, where some row has
-    fewer than k non-NaN values or candidates in half of its columns.
-    """
-    rows, cols = neg.shape
     kth = np.partition(neg, k - 1, axis=1)[:, [k - 1]]  # a copy: the partitioned matrix is freed here
-    if np.isnan(kth).any():  # fewer than k non-NaN values: every entry is a candidate
-        return None
-    cand = neg <= kth
-    flat = np.flatnonzero(cand)
+    flat = np.flatnonzero((neg <= kth) | np.isnan(kth))  # candidates, row by row in column order
+    keys = neg.ravel()[flat]
     if flat.size == rows * k:  # no row ties at its k-th value
-        return flat.reshape(rows, k), neg.ravel()[flat].reshape(rows, k)
-    counts = np.count_nonzero(cand, axis=1)
-    width = int(counts.max())
-    if 2 * width >= cols:
-        return None
-    # (row, place within the row) of every candidate
-    at = (flat // cols, np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts))
-    picks = np.zeros((rows, width), dtype=np.intp)
-    keys = np.full((rows, width), np.nan)
-    picks[at] = flat
-    keys[at] = neg.ravel()[flat]
-    return picks, keys
+        picks = np.take_along_axis(flat.reshape(rows, k), keys.reshape(rows, k).argsort(axis=1, kind="stable"), axis=1)
+    else:
+        row = flat // cols
+        ranked = flat[np.lexsort((keys, row))]  # by row, then value, then column
+        picks = ranked[np.searchsorted(row, np.arange(rows))[:, None] + np.arange(k)]
+    order = picks % cols
+    return order, np.take_along_axis(similarities, order, axis=1)
 
 
 def neighbor_table(similarity: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Self-excluded k nearest neighbors for every row of a square matrix.
 
-    Returns ``(indices, similarities)``, each of shape (n, k), row i
-    holding the neighbors of entity i in decreasing similarity. Entity i
-    itself is never its own neighbor.
+    Returns ``(indices, similarities)``, each of shape (n, min(k, n - 1)),
+    row i holding the neighbors of entity i in decreasing similarity.
+    Entity i itself is never its own neighbor.
     """
+    _check_count(k, "k")
     sim = np.asarray(similarity, dtype=float)
     n = sim.shape[0]
     if sim.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {sim.shape}")
-    if k < 1 or n < 2:
-        raise ValueError(f"need k >= 1 and at least 2 entities, got k={k}, n={n}")
+    if n < 2:
+        raise ValueError(f"need at least 2 entities, got n={n}")
     k = min(k, n - 1)
     # One spare pick per row: drop entity i where it was picked, the
     # spare everywhere else.

@@ -44,6 +44,11 @@ class TestSamplingStrategy:
         with pytest.raises(ValueError):
             SamplingStrategy(**kwargs)
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_local_k_not_an_integer(self, k):
+        with pytest.raises(ValueError, match="integer k >= 1"):
+            SamplingStrategy("local", k=k)
+
 
 class TestSamplingProbabilities:
     @pytest.mark.parametrize("kind", ["uniform", "global", "local"])

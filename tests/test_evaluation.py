@@ -143,6 +143,19 @@ class TestCvPlan:
         with pytest.raises(ValueError):
             CvPlan(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"folds": 2.5}, "integer folds >= 2"),
+            ({"folds": np.float64(5)}, "integer folds >= 2"),
+            ({"folds": 5, "repetitions": 1.5}, "integer repetitions >= 1"),
+            ({"folds": 5, "repetitions": True}, "integer repetitions >= 1"),
+        ],
+    )
+    def test_counts_not_integers(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            CvPlan("S2", **kwargs)
+
     def test_defaults(self):
         plan = CvPlan("S2", 10)
         assert plan.repetitions == 2 and plan.seed == 0

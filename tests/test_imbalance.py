@@ -117,6 +117,11 @@ class TestPairLocalImbalance:
         with pytest.raises(ValueError, match="out of range .* target side"):
             imbalance_report(f1, 2)
 
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_k_not_an_integer(self, f1, k):
+        with pytest.raises(ValueError, match="integer k >= 1"):
+            imbalance_report(f1, k)
+
 
 class TestDatasetLocalImbalance:
     def test_f1_hand_values(self, f1):

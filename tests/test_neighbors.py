@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wknnir import DtiDataset, EnsembleMember, EnsembleModel, subset
-from wknnir.neighbors import _candidates, neighbor_table, top_k
+from wknnir.neighbors import neighbor_table, top_k
 
 
 def oracle_knn(sims, k, exclude=()):
@@ -57,14 +57,6 @@ def quantised_similarity(n, seed):
     return sim
 
 
-def branch(sim, k):
-    """Which ranking path top_k takes: 'sort', 'exact' (k candidates a row) or 'padded'."""
-    found = _candidates(-sim, k)
-    if found is None:
-        return "sort"
-    return "exact" if found[0].shape[1] == k else "padded"
-
-
 class TestKnnOracle:
     def test_matches_brute_force_on_1000_random_instances(self):
         rng = np.random.default_rng(42)
@@ -112,6 +104,11 @@ class TestKnnOracle:
         with pytest.raises(ValueError, match="k >= 1"):
             neighbor_table(np.eye(2), 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_k_not_an_integer(self, k):
+        with pytest.raises(ValueError, match="integer k >= 1"):
+            neighbor_table(np.eye(4), k)
+
     def test_pure_function(self):
         sims = np.array([[0.5, 0.9, 0.1], [0.9, 0.5, 0.2], [0.1, 0.2, 0.5]])
         a = neighbor_table(sims, 2)
@@ -131,32 +128,29 @@ class TestRealisticWidths:
         rng = np.random.default_rng(width + k)
         assert_matches_oracle(rng.random((5, width)), k)
         sim = rng.random((width, width))
-        assert branch(sim, k) == "exact"
         assert_matches_oracle(sim, k, check_rows=rng.choice(width, 6, replace=False))
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     @pytest.mark.parametrize("width", [150, 445])
     def test_quantised_ties(self, width, k):
         sim = quantised_similarity(width, seed=width + k)
-        assert branch(sim, k + 1) == "padded"
         assert_matches_oracle(sim, k, check_rows=range(0, width, 7))
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_half_the_row_ties_with_kth_value(self, k):
         # Most rows have distinct values; row 1 is all zero and row 2 ties
-        # 0.5 in 60% of its columns, so the whole matrix is sorted.
+        # 0.5 in 60% of its columns, so most of both rows are candidates.
         rng = np.random.default_rng(k)
         sim = rng.random((6, 300))
         sim[1] = 0.0
         sim[2, rng.random(300) < 0.6] = 0.5
         sim[2, :3] = 0.9
-        assert branch(sim, k) == "sort"
         assert_matches_oracle(sim, k)
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_ties_under_half_the_row(self, k):
-        # Ties at or above the k-th value in up to 40% of a row: padded
-        # candidate rows of unequal width.
+        # Ties at or above the k-th value in up to 40% of a row: rows with
+        # unequal numbers of candidates.
         rng = np.random.default_rng(10 + k)
         sim = rng.random((6, 300)) / 2
         sim[0, rng.random(300) < 0.4] = 0.75  # a wide tie at the top
@@ -164,17 +158,15 @@ class TestRealisticWidths:
         sim[1, 100 : 100 + k - 1] = 0.9
         sim[3] = np.round(sim[3] * 8) / 8  # coarse values
         sim[3, :k] = 1.0
-        assert branch(sim, k) == "padded"
         assert_matches_oracle(sim, k)
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_negative_values_with_ties(self, k):
         # Below-zero similarities, coarse in half the rows: ties of unequal
-        # width, padded after candidates that are all below zero.
+        # width among candidates that are all below zero.
         rng = np.random.default_rng(40 + k)
         sim = -rng.random((6, 250))
         sim[::2] = np.round(sim[::2] * 20) / 20
-        assert branch(sim, k) == "padded"
         assert_matches_oracle(sim, k)
 
     @pytest.mark.parametrize("k", [1, 5, 10])
@@ -188,10 +180,19 @@ class TestRealisticWidths:
         sim[0, 3:] = np.nan  # 3 values, then NaN by ascending index
         sim[1, :] = np.nan
         sim[2, rng.random(200) < 0.5] = np.nan  # NaN ranks last, but k is within the finite ones
-        assert branch(sim, k) == "sort"
         assert_matches_oracle(sim, k)
-        assert branch(sim[2:], k) in ("exact", "padded")
         assert_matches_oracle(sim[2:], k)
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_untied_tied_all_zero_and_nan_rows_together(self, k):
+        # One row of each kind in one matrix: distinct values, a tie at
+        # the k-th value, all zero, and fewer than k non-NaN values.
+        rng = np.random.default_rng(50 + k)
+        sim = rng.random((4, 200))
+        sim[1, rng.random(200) < 0.2] = sim[1].max()
+        sim[2] = 0.0
+        sim[3, k // 2 :] = np.nan
+        assert_matches_oracle(sim, k)
 
     @pytest.mark.parametrize("shape", [(0, 7), (0, 0), (4, 0)])
     @pytest.mark.parametrize("k", [1, 3, 10])
