@@ -139,6 +139,11 @@ def sampling_probabilities(ds: DtiDataset, strategy: SamplingStrategy):
     return tuple(probs)
 
 
+# Relative margin (a fraction of the initial total) around each boundary of
+# the running prefix sum inside which a draw takes the exact step instead.
+_MARGIN = 2.0**-30
+
+
 def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
     """Draw ``count`` distinct indices by repeated weighted selection.
 
@@ -148,9 +153,30 @@ def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
     deterministic given the seed.
 
     The draws equal those of ``Generator.choice(p=...)`` on the undrawn
-    weights renormalised: the total sums the same numbers in the same
-    order, the zeroed weights add exactly in the cumulative sum, and each
-    draw searches it with one ``random()``, as ``choice`` does.
+    weights renormalised (the exact step): the total sums the same numbers
+    in the same order, the zeroed weights add exactly in the cumulative
+    sum, and each draw searches it with one ``random()``, as ``choice``
+    does. That step makes several O(n) passes per draw, so a faster one
+    runs first and gives the same pick and the same stream:
+
+    - The ``random()`` values are drawn at once, one per draw and at most
+      one per nonzero weight; ``Generator.random(k)`` is the same stream as
+      k calls, and the exact step fails for want of weight exactly after
+      the last nonzero one is drawn.
+    - A running prefix sum of the weights, from which each drawn weight is
+      subtracted over its suffix, is searched with ``u * total``.
+    - Where ``u * total`` lies within ``_MARGIN`` times the initial total
+      S0 of a bound of the picked slot, or past the end, the exact step
+      draws instead.
+
+    Both paths round. With machine epsilon e and every partial sum at most
+    S0, the running prefix is off by at most (n + t) e S0 after n additions
+    and t subtractions, and ``u * total`` by that plus e S0; the exact
+    step's normalised cdf, scaled back by the current total, is off by at
+    most (2n + 3) e S0. So a margin above (6n + 5) e S0 keeps both picks
+    equal: 2^-30 S0 covers n below 7 * 10^5, and the margin grows with n
+    beyond. It scales with S0, not the current total, because the running
+    prefix keeps the absolute error of the heavy weights already drawn.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1:
@@ -158,20 +184,33 @@ def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
     # Phrased so that NaN fails too.
     if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("probs is not a probability vector")
-    if not 1 <= count <= p.size:
+    _check_count(count, "count")
+    if count > p.size:
         raise ValueError(f"count={count} out of range [1, {p.size}]")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    nonzero = int(np.count_nonzero(p))
+    us = gen.random(min(count, nonzero)).tolist()
+    if count > nonzero:
+        raise ValueError(f"only {nonzero} indices have nonzero probability, need {count}")
     weights = p.copy()
     undrawn = np.ones(p.size, dtype=bool)
+    prefix = np.cumsum(weights)
+    margin = max(_MARGIN, 8 * p.size * np.finfo(float).eps) * float(prefix[-1])
     out = np.empty(count, dtype=int)
-    for t in range(count):
-        total = weights[undrawn].sum()
-        if total <= 0:
-            raise ValueError(f"only {t} indices have nonzero probability, need {count}")
-        cdf = np.cumsum(weights / total)
-        cdf /= cdf[-1]
-        pick = int(cdf.searchsorted(gen.random(), side="right"))
+    for t, u in enumerate(us):
+        x = u * float(prefix[-1])
+        pick = int(prefix.searchsorted(x, side="right"))
+        if (
+            pick == p.size
+            or x - (prefix[pick - 1] if pick else 0.0) <= margin
+            or prefix[pick] - x <= margin
+        ):
+            total = weights[undrawn].sum()
+            cdf = np.cumsum(weights / total)
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(u, side="right"))
         out[t] = pick
+        prefix[pick:] -= weights[pick]
         weights[pick] = 0.0
         undrawn[pick] = False
     return out
@@ -190,8 +229,7 @@ def train_ensemble(
     seeded with seed+i, so members are independent and any prefix of the
     ensemble is reproducible.
     """
-    if q < 1:
-        raise ValueError(f"q must be at least 1, got {q!r}")
+    _check_count(q, "q")
     if not 0 < R <= 1:
         raise ValueError(f"R must be in (0, 1], got {R!r}")
     p_drug, p_target = sampling_probabilities(ds, strategy)

@@ -18,6 +18,7 @@ from wknnir import (
     subset,
     train_ensemble,
 )
+from wknnir import ensemble as ensemble_module
 from conftest import make_dataset, random_dataset
 
 
@@ -220,6 +221,87 @@ class TestSampleWithoutReplacement:
             assert got.dtype == np.dtype(int)
             np.testing.assert_array_equal(got, want, err_msg=f"case {case}")
 
+    def test_matches_oracle_at_benchmark_sizes_and_on_skewed_weights(self):
+        # Sides as wide as the E-shape target side, and draw-all runs where a
+        # tenth of the weights are heavy and the rest 1e-6..1e-13 of them: the
+        # last draws then share a total far below the first one's.
+        cases = np.random.default_rng(2025)
+        for case in range(60):
+            size = int(cases.integers(200, 700))
+            p = cases.random(size)
+            kind = case % 4
+            if kind == 0:
+                light = cases.random(size) >= 0.1
+                p[light] *= 10.0 ** -cases.integers(6, 14, int(light.sum()))
+            elif kind == 1:
+                p = np.round(p * 4) / 4  # quantised ties, some zero
+            elif kind == 2:
+                p[cases.random(size) < 0.4] = 0.0
+            else:
+                p[cases.random(size) < 0.5] = 0.0
+                p[cases.random(size) < 0.3] *= 1e-17  # far below eps of the total
+            p /= p.sum()
+            nonzero = int(np.count_nonzero(p))
+            # Draw-all on the skewed mix; past the support (the too-few error) every third case.
+            count = size if kind == 0 or case % 3 == 0 else int(cases.integers(1, nonzero + 1))
+            seed = int(cases.integers(2**32))
+            got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            if count > nonzero:
+                with pytest.raises(ValueError, match=f"only {nonzero} indices have nonzero probability"):
+                    sample_without_replacement(p, count, got_gen)
+                # The oracle fails on 0/0 weights, having drawn as many values.
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                    self._choice_oracle(p, count, want_gen)
+            else:
+                got = sample_without_replacement(p, count, got_gen)
+                np.testing.assert_array_equal(got, self._choice_oracle(p, count, want_gen), err_msg=f"case {case}")
+            assert got_gen.random() == want_gen.random(), f"case {case}"
+
+    def test_exact_step_alone_matches_oracle(self, monkeypatch):
+        # A margin wider than the total sends every draw to the exact step.
+        monkeypatch.setattr(ensemble_module, "_MARGIN", 2.0)
+        cases = np.random.default_rng(7)
+        for case in range(40):
+            size = int(cases.integers(1, 300))
+            p = cases.random(size)
+            if case % 2:
+                p[cases.random(size) < 0.4] = 0.0
+            if not p.any():
+                p[0] = 1.0
+            p /= p.sum()
+            count = int(cases.integers(1, np.count_nonzero(p) + 1))
+            seed = int(cases.integers(2**32))
+            got = sample_without_replacement(p, count, seed)
+            np.testing.assert_array_equal(got, self._choice_oracle(p, count, np.random.default_rng(seed)))
+
+    def test_weight_below_rounding_of_the_total(self):
+        # 1e-20 vanishes from the running prefix sum (0.5 + 1e-20 == 0.5), yet
+        # once both halves are drawn it is the only weight left and is drawn.
+        p = np.array([0.5, 1e-20, 0.5])
+        for seed in range(20):
+            got = sample_without_replacement(p, 3, seed)
+            np.testing.assert_array_equal(got, self._choice_oracle(p, 3, np.random.default_rng(seed)))
+            assert got[-1] == 1
+
+    def test_value_on_a_boundary_goes_right(self):
+        # p = (u, 1 - u) puts the boundary exactly at the first random(): like
+        # Generator.choice, a value equal to the cumulative mass picks the next index.
+        for seed in range(10):
+            u = np.random.default_rng(seed).random()
+            got = sample_without_replacement([u, 1.0 - u], 1, seed)
+            np.testing.assert_array_equal(got, [1])
+            np.testing.assert_array_equal(got, self._choice_oracle(np.array([u, 1.0 - u]), 1, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("count", [2.5, True, 1.0])
+    def test_count_not_an_integer(self, count):
+        with pytest.raises(ValueError, match="integer count >= 1"):
+            sample_without_replacement([0.5, 0.5], count, 0)
+
+    def test_numpy_integer_count(self):
+        np.testing.assert_array_equal(
+            sample_without_replacement([0.5, 0.5], np.int64(2), 3), sample_without_replacement([0.5, 0.5], 2, 3)
+        )
+
     def test_zero_support_exhaustion(self):
         with pytest.raises(ValueError, match="only 2 indices have nonzero probability"):
             sample_without_replacement([0.5, 0.5, 0.0, 0.0], 3, 0)
@@ -249,6 +331,11 @@ class TestTrainEnsembleShape:
     def test_rejects_bad_arguments(self, f1, q, ratio):
         with pytest.raises(ValueError):
             train_ensemble(f1, lambda sub: fit_wknn(sub, 1, 0.8), q, ratio, SamplingStrategy("uniform"))
+
+    @pytest.mark.parametrize("q", [2.5, True])
+    def test_q_not_an_integer(self, f1, q):
+        with pytest.raises(ValueError, match="integer q >= 1"):
+            train_ensemble(f1, lambda sub: fit_wknn(sub, 1, 0.8), q, 0.95, SamplingStrategy("uniform"))
 
     def test_member_subset_sizes(self):
         ds = random_dataset(54, 26, seed=1)
