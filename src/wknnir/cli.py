@@ -40,7 +40,7 @@ from .evaluation import (
     tune_hyperparameters,
     tuned_learner,
 )
-from .models import build_recovery
+from .models import fit_wknnir
 
 __all__ = ["main"]
 
@@ -133,12 +133,12 @@ def cmd_stats(args) -> int:
 
 def cmd_recover(args) -> int:
     ds = _load(args)
-    rec = build_recovery(ds, args.k, args.eta)
+    model = fit_wknnir(ds, args.k, args.eta)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, matrix in (("y_drug", rec.y_drug), ("y_target", rec.y_target), ("y_joint", rec.y_joint)):
-        write_matrix(out_dir / f"{name}.tsv", matrix, ds.drug_ids, ds.target_ids)
-    print(f"li_drug={rec.li_drug!r} li_target={rec.li_target!r}")
+    for name in ("y_drug", "y_target", "y_joint"):
+        write_matrix(out_dir / f"{name}.tsv", getattr(model, name), ds.drug_ids, ds.target_ids)
+    print(f"li_drug={model.li_drug!r} li_target={model.li_target!r}")
     return 0
 
 

@@ -209,6 +209,7 @@ def _fold_scores(ds: DtiDataset, fold: Fold, model):
 
 def run_cv(ds: DtiDataset, learner, plan: CvPlan, threads: int = 1) -> CvResult:
     """Fit on each fold's training block, score its test pairs, average AUPR."""
+    _check_count(threads, "threads")
     folds = generate_folds(ds, plan)
 
     def run_one(fold):
@@ -255,8 +256,7 @@ def rank_novel(ds: DtiDataset, learner, setting: str, top_n: int, folds: int | N
     known interaction are excluded; ties are broken by drug then target
     ID. Returns ``top_n`` tuples of (drug_id, target_id, score).
     """
-    if top_n < 1:
-        raise ValueError(f"top_n must be at least 1, got {top_n}")
+    _check_count(top_n, "top_n")
     plan = CvPlan(setting, folds if folds is not None else OUTER_FOLDS[setting], repetitions=1, seed=seed)
     scores = np.full((ds.n, ds.m), np.nan)
     for fold in generate_folds(ds, plan):

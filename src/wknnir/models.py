@@ -28,9 +28,7 @@ __all__ = [
     "PairQuery",
     "WkNNModel",
     "WkNNIRModel",
-    "RecoverySet",
     "fit_wknn",
-    "build_recovery",
     "fit_wknnir",
 ]
 
@@ -193,36 +191,13 @@ class WkNNModel(_NeighborPredictor):
         return y, y, y
 
 
-@dataclass(frozen=True, eq=False)
-class RecoverySet:
-    """Completed interaction matrices, element-wise >= the original.
-
-    ``y_drug`` is rebuilt row-wise from drug neighbors, ``y_target``
-    column-wise from target neighbors, ``y_joint`` blends the two raw
-    recoveries weighted by (1 - LI) per side; all three are then maxed
-    with the original matrix so known interactions stay at 1.
-    """
-
-    y_drug: np.ndarray
-    y_target: np.ndarray
-    y_joint: np.ndarray
-    li_drug: float
-    li_target: float
-
-    def __post_init__(self):
-        for name in ("y_drug", "y_target", "y_joint"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
 def _recover_rows(sim, labels, owner, other, k, eta):
     """Rebuild each row of ``labels`` from its k nearest rows under ``sim``.
 
     Row i becomes sum_h eta^(h'-1) * sim[i, h] * labels[h, :] / sum_h sim[i, h]
     over the self-excluded neighbors h of i. A zero normalizer gives a
     zero row and a lone entity keeps its row; either way the max with Y
-    in ``build_recovery`` leaves the original.
+    in ``fit_wknnir`` leaves the original.
 
     ``(owner, other)`` are the nonzero entries of ``labels``, sorted by
     owner row, and only they are visited. A zero label adds a signed zero
@@ -253,7 +228,52 @@ def _recover_rows(sim, labels, owner, other, k, eta):
     return _normalized(num, z)
 
 
-def build_recovery(ds: DtiDataset, k: int, eta: float) -> RecoverySet:
+@dataclass(frozen=True, eq=False)
+class WkNNIRModel(_NeighborPredictor):
+    """WkNN over recovered interactions with imbalance-scaled S4 decay.
+
+    The recovered matrices are element-wise >= the original: ``y_drug``
+    is rebuilt row-wise from drug neighbors, ``y_target`` column-wise
+    from target neighbors, ``y_joint`` blends the two raw recoveries
+    weighted by (1 - LI) per side; all three are then maxed with the
+    original matrix so known interactions stay at 1.
+    """
+
+    dataset: DtiDataset
+    k: int
+    eta: float
+    y_drug: np.ndarray
+    y_target: np.ndarray
+    y_joint: np.ndarray
+    li_drug: float
+    li_target: float
+
+    def __post_init__(self):
+        for name in ("y_drug", "y_target", "y_joint"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def r_drug(self) -> float:
+        return min(1.0, max(self.li_drug, LI_FLOOR) / max(self.li_target, LI_FLOOR))
+
+    @property
+    def r_target(self) -> float:
+        return min(1.0, max(self.li_target, LI_FLOOR) / max(self.li_drug, LI_FLOOR))
+
+    def _labels(self):
+        # New drug: target similarities did the recovery, drug similarities rank.
+        return self.y_target, self.y_drug, self.y_joint
+
+
+def fit_wknn(ds: DtiDataset, k: int, eta: float) -> WkNNModel:
+    """Validate parameters and bind them to the dataset; no training."""
+    _check_params(k, eta)
+    return WkNNModel(ds, int(k), float(eta))
+
+
+def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
     """Complete the interaction matrix three ways at one (k, eta)."""
     _check_params(k, eta)
     Y = ds.interactions
@@ -265,48 +285,13 @@ def build_recovery(ds: DtiDataset, k: int, eta: float) -> RecoverySet:
     # Without imbalance evidence both sides count as balanced.
     li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)
     y_joint_raw = ((1.0 - li_drug) * y_drug_raw + (1.0 - li_target) * y_target_raw) / 2.0
-    return RecoverySet(
+    return WkNNIRModel(
+        ds,
+        int(k),
+        float(eta),
         y_drug=np.maximum(y_drug_raw, Y),
         y_target=np.maximum(y_target_raw, Y),
         y_joint=np.maximum(y_joint_raw, Y),
         li_drug=li_drug,
         li_target=li_target,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class WkNNIRModel(_NeighborPredictor):
-    """WkNN over recovered interactions with imbalance-scaled S4 decay."""
-
-    dataset: DtiDataset
-    k: int
-    eta: float
-    recovery: RecoverySet
-    r_drug: float
-    r_target: float
-
-    def _labels(self):
-        # New drug: target similarities did the recovery, drug similarities rank.
-        rec = self.recovery
-        return rec.y_target, rec.y_drug, rec.y_joint
-
-
-def fit_wknn(ds: DtiDataset, k: int, eta: float) -> WkNNModel:
-    """Validate parameters and bind them to the dataset; no training."""
-    _check_params(k, eta)
-    return WkNNModel(ds, int(k), float(eta))
-
-
-def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
-    """Precompute the recovery set and the per-side decay rescalers."""
-    recovery = build_recovery(ds, k, eta)
-    li_drug = max(recovery.li_drug, LI_FLOOR)
-    li_target = max(recovery.li_target, LI_FLOOR)
-    return WkNNIRModel(
-        ds,
-        int(k),
-        float(eta),
-        recovery,
-        r_drug=min(1.0, li_drug / li_target),
-        r_target=min(1.0, li_target / li_drug),
     )

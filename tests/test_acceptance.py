@@ -27,11 +27,9 @@ from wknnir import (
     INNER_FOLDS,
     OUTER_FOLDS,
     CvPlan,
-    RecoverySet,
     SamplingStrategy,
     WkNNIRModel,
     base_factory,
-    build_recovery,
     dataset_stats,
     ensemble_factory,
     fit_wknn,
@@ -245,7 +243,7 @@ class TestRecoveryDominance:
         # not round below the numerator.
         cases += [(random_dataset(14, 12, seed=500 + seed, density=0.95), k, 1.0) for seed in range(20) for k in (8, 9)]
         for ds, k, eta in cases:
-            rec = build_recovery(ds, k, eta)
+            rec = fit_wknnir(ds, k, eta)
             known = ds.interactions == 1
             for matrix in (rec.y_drug, rec.y_target, rec.y_joint):
                 assert np.all(matrix >= ds.interactions)
@@ -258,7 +256,7 @@ class TestFormulaReductions:
         for seed in range(10):
             ds = random_dataset(8, 7, seed=seed)
             Y = ds.interactions
-            reduced = WkNNIRModel(ds, 3, 0.7, RecoverySet(Y, Y, Y, 0.5, 0.5), 1.0, 1.0)
+            reduced = WkNNIRModel(ds, 3, 0.7, Y, Y, Y, 0.5, 0.5)
             baseline = fit_wknn(ds, 3, 0.7)
             rng = np.random.default_rng(seed + 1000)
             dp, tp = rng.random((4, 8)), rng.random((4, 7))

@@ -9,9 +9,9 @@ import pytest
 from wknnir import (
     DEFAULT_GRID,
     CvPlan,
-    build_recovery,
     dataset_stats,
     fit_wknn,
+    fit_wknnir,
     fixed_learner,
     rank_novel,
     run_cv,
@@ -112,7 +112,7 @@ class TestRecover:
         ds, paths = data_files
         out_dir = tmp_path / "rec"
         assert main(["recover", *dataset_args(paths), "--k", "2", "--eta", "0.8", "--out-dir", str(out_dir)]) == 0
-        rec = build_recovery(ds, 2, 0.8)
+        rec = fit_wknnir(ds, 2, 0.8)
         np.testing.assert_array_equal(read_matrix(out_dir / "y_drug.tsv"), rec.y_drug)
         np.testing.assert_array_equal(read_matrix(out_dir / "y_target.tsv"), rec.y_target)
         np.testing.assert_array_equal(read_matrix(out_dir / "y_joint.tsv"), rec.y_joint)
@@ -192,6 +192,15 @@ class TestCv:
         code = main(["cv", *dataset_args(paths), "--setting", "S2", "--k", "2", "--folds", "3"])
         assert code == 1
         assert "must be given together" in capsys.readouterr().err
+
+    def test_zero_threads_fail(self, data_files, capsys):
+        _, paths = data_files
+        code = main([
+            "cv", *dataset_args(paths),
+            "--setting", "S2", "--k", "2", "--eta", "0.8", "--folds", "3", "--threads", "0",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need an integer threads >= 1, got threads=0\n"
 
     def test_unknown_setting_is_a_usage_error(self, data_files):
         _, paths = data_files

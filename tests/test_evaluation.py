@@ -342,6 +342,11 @@ class TestRunCv:
             assert (a.repetition, a.index, a.pairs, a.positives) == (b.repetition, b.index, b.pairs, b.positives)
             assert a.aupr == b.aupr or (math.isnan(a.aupr) and math.isnan(b.aupr))
 
+    @pytest.mark.parametrize("threads", [0, -2, True, 2.5])
+    def test_rejects_bad_threads(self, f1, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_cv(f1, fixed_learner(fit_wknn, 1, 0.8), CvPlan("S2", 3, repetitions=1), threads=threads)
+
     def test_mean_stays_in_unit_interval(self):
         for setting, folds in (("S2", 3), ("S3", 3), ("S4", 2)):
             ds = random_dataset(9, 8, seed=14)
@@ -501,5 +506,7 @@ class TestRankNovel:
         assert rank_novel(ds, learner, setting, len(want), folds=folds, seed=5) == want
 
     def test_rejects_bad_top_n(self, f1):
-        with pytest.raises(ValueError, match="top_n"):
-            rank_novel(f1, fixed_learner(fit_wknn, 1, 0.8), "S2", 0, folds=3)
+        # True would otherwise slice one row, 2.5 fail inside slicing.
+        for top_n in (0, -1, True, 2.5):
+            with pytest.raises(ValueError, match="top_n"):
+                rank_novel(f1, fixed_learner(fit_wknn, 1, 0.8), "S2", top_n, folds=3)

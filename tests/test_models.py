@@ -5,9 +5,7 @@ import pytest
 
 from wknnir import (
     PairQuery,
-    RecoverySet,
     WkNNIRModel,
-    build_recovery,
     fit_wknn,
     fit_wknnir,
     subset,
@@ -56,7 +54,7 @@ def oracle_recover_rows(sim, Y, k, eta):
 
 
 def dense_recovery(ds, k, eta):
-    """``build_recovery`` as first written: every label, zero or not, goes
+    """``fit_wknnir``'s recovery as first written: every label, zero or not, goes
     through the dense kernel, the target side on ``Y.T``."""
 
     def rows(sim, labels):
@@ -188,14 +186,14 @@ class TestWkNNPredict:
 
 class TestRecovery:
     def test_f1_hand_values(self, f1):
-        rec = build_recovery(f1, 1, 0.5)
+        rec = fit_wknnir(f1, 1, 0.5)
         # k=1: each row is copied from its nearest drug, then maxed with Y
         np.testing.assert_array_equal(rec.y_drug, np.ones((3, 2)))
         np.testing.assert_array_equal(rec.y_target, np.ones((3, 2)))
         assert (rec.li_drug, rec.li_target) == (0.75, 0.5)
 
     def test_joint_blends_raw_recoveries(self, f1):
-        rec = build_recovery(f1, 1, 0.5)
+        rec = fit_wknnir(f1, 1, 0.5)
         # raw (pre-max) recoveries at k=1, blended with (1 - LI)/2 weights
         y_d_raw = np.array([[0, 1], [1, 0], [0, 1]], dtype=float)
         y_t_raw = np.array([[0, 1], [1, 0], [1, 1]], dtype=float)
@@ -208,7 +206,7 @@ class TestRecovery:
             ds = random_dataset(7, 6, seed)
             k = int(rng.integers(1, 6))
             eta = float(rng.integers(1, 11)) / 10
-            rec = build_recovery(ds, k, eta)
+            rec = fit_wknnir(ds, k, eta)
             Y = ds.interactions
             want_d = np.maximum(oracle_recover_rows(ds.drug_sim, Y, k, eta), Y)
             want_t = np.maximum(oracle_recover_rows(ds.target_sim, Y.T, k, eta).T, Y)
@@ -222,14 +220,14 @@ class TestRecovery:
             ds = varied_dataset(rng)
             k = int(rng.choice([1, 2, 3, 5, 9, max(ds.n, ds.m, 2) - 1, max(ds.n, ds.m) + 1]))
             eta = float(rng.choice([0.3, 0.5, 0.8, 1.0, rng.random()]))
-            rec = build_recovery(ds, k, eta)
+            rec = fit_wknnir(ds, k, eta)
             for got, want in zip((rec.y_drug, rec.y_target, rec.y_joint), dense_recovery(ds, k, eta)):
                 assert got.tobytes() == want.tobytes()
 
     def test_dominance_and_known_ones_preserved(self):
         for seed in range(20):
             ds = random_dataset(9, 7, seed, density=0.35)
-            rec = build_recovery(ds, 3, 0.7)
+            rec = fit_wknnir(ds, 3, 0.7)
             Y = ds.interactions
             for mat in (rec.y_drug, rec.y_target, rec.y_joint):
                 assert np.all(mat >= Y)
@@ -242,7 +240,7 @@ class TestRecovery:
             [[1.0, 0.4], [0.4, 1.0]],
             [[1, 1], [1, 1], [1, 1]],
         )
-        rec = build_recovery(ds, 1, 0.5)
+        rec = fit_wknnir(ds, 1, 0.5)
         np.testing.assert_array_equal(rec.y_drug, ds.interactions)
         np.testing.assert_array_equal(rec.y_target, ds.interactions)
         np.testing.assert_array_equal(rec.y_joint, ds.interactions)
@@ -254,9 +252,9 @@ class TestRecovery:
             [[0, 0], [0, 0], [0, 0]],
         )
         model = fit_wknnir(ds, 2, 0.8)
-        assert (model.recovery.li_drug, model.recovery.li_target) == (0.0, 0.0)
+        assert (model.li_drug, model.li_target) == (0.0, 0.0)
         assert (model.r_drug, model.r_target) == (1.0, 1.0)
-        np.testing.assert_array_equal(model.recovery.y_joint, ds.interactions)
+        np.testing.assert_array_equal(model.y_joint, ds.interactions)
 
     def test_zero_similarity_row_keeps_original(self):
         # d2 has no similarity to anyone: its row must survive recovery
@@ -265,7 +263,7 @@ class TestRecovery:
             [[1.0, 0.4], [0.4, 1.0]],
             [[1, 0], [0, 1], [1, 0]],
         )
-        rec = build_recovery(ds, 2, 0.8)
+        rec = fit_wknnir(ds, 2, 0.8)
         np.testing.assert_array_equal(rec.y_drug[2], [1, 0])
 
 
@@ -293,24 +291,23 @@ class TestWkNNIR:
             k = int(rng.integers(1, 6))
             eta = float(rng.integers(1, 11)) / 10
             model = fit_wknnir(ds, k, eta)
-            rec = model.recovery
             dprof = rng.random(8)
             tprof = rng.random(6)
             i = int(rng.integers(8))
             j = int(rng.integers(6))
             np.testing.assert_allclose(
                 model.predict(PairQuery(dprof, j)),
-                oracle_one_side(rec.y_target, dprof, j, k, eta),
+                oracle_one_side(model.y_target, dprof, j, k, eta),
                 atol=1e-12,
             )
             np.testing.assert_allclose(
                 model.predict(PairQuery(i, tprof)),
-                oracle_one_side(rec.y_drug.T, tprof, i, k, eta),
+                oracle_one_side(model.y_drug.T, tprof, i, k, eta),
                 atol=1e-12,
             )
             np.testing.assert_allclose(
                 model.predict(PairQuery(dprof, tprof)),
-                oracle_pair_grid(rec.y_joint, dprof, tprof, k, eta, model.r_drug, model.r_target),
+                oracle_pair_grid(model.y_joint, dprof, tprof, k, eta, model.r_drug, model.r_target),
                 atol=1e-12,
             )
 
@@ -322,9 +319,7 @@ class TestWkNNIR:
             k = int(rng.integers(1, 6))
             eta = float(rng.integers(1, 11)) / 10
             Y = ds.interactions
-            reduced = WkNNIRModel(
-                ds, k, eta, RecoverySet(Y, Y, Y, 0.5, 0.5), r_drug=1.0, r_target=1.0
-            )
+            reduced = WkNNIRModel(ds, k, eta, Y, Y, Y, 0.5, 0.5)
             baseline = fit_wknn(ds, k, eta)
             for _ in range(20):
                 dprof = rng.random(8)
@@ -343,10 +338,7 @@ class TestWkNNIR:
             ds = random_dataset(8, 6, seed)
             model = fit_wknnir(ds, 3, 0.7)
             Y = ds.interactions
-            raw_s2 = WkNNIRModel(
-                ds, 3, 0.7, RecoverySet(Y, Y, Y, model.recovery.li_drug, model.recovery.li_target),
-                model.r_drug, model.r_target,
-            )
+            raw_s2 = WkNNIRModel(ds, 3, 0.7, Y, Y, Y, model.li_drug, model.li_target)
             for _ in range(10):
                 dprof = rng.random(8)
                 j = int(rng.integers(6))
@@ -365,14 +357,39 @@ class TestWkNNIR:
         rng = np.random.default_rng(n * 10 + m)
         for k, eta in ((1, 0.5), (3, 0.8), (5, 1.0)):
             model = fit_wknnir(ds, k, eta)
-            rec = model.recovery
             Y = ds.interactions
             if n == 1:
-                np.testing.assert_array_equal(rec.y_drug, Y)
+                np.testing.assert_array_equal(model.y_drug, Y)
             if m == 1:
-                np.testing.assert_array_equal(rec.y_target, Y)
-            assert (rec.li_drug, rec.li_target) == (0.0, 0.0)
+                np.testing.assert_array_equal(model.y_target, Y)
+            assert (model.li_drug, model.li_target) == (0.0, 0.0)
             assert (model.r_drug, model.r_target) == (1.0, 1.0)
             dp, tp = rng.random((4, n)), rng.random((3, m))
             for scores in (model.predict_s2(dp), model.predict_s3(tp), model.predict_s4(dp, tp)):
                 assert np.all((scores >= 0) & (scores <= 1))
+
+
+class TestEntityPermutation:
+    def test_scores_and_recovery_follow_the_permutation(self):
+        # Tie-free data, so a permutation cannot change a neighbor pick. The
+        # check is atol=1e-12, not bytes: the dense LI sums behind y_joint and
+        # the S4 rescalers round in an order that follows the entity layout.
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        rng = np.random.default_rng(53)
+        for seed in range(40):
+            n, m = (int(x) for x in rng.integers(3, 25, size=2))
+            ds = random_dataset(n, m, seed=600 + seed)
+            perm_d, perm_t = rng.permutation(n), rng.permutation(m)
+            permuted = subset(ds, perm_d, perm_t)
+            k = int(rng.integers(1, max(n, m) + 1))
+            eta = float(rng.integers(1, 11)) / 10
+            dp, tp = rng.random((4, n)), rng.random((3, m))
+            for fit in (fit_wknn, fit_wknnir):
+                model, moved = fit(ds, k, eta), fit(permuted, k, eta)
+                close(moved.predict_s2(dp[:, perm_d]), model.predict_s2(dp)[:, perm_t])
+                close(moved.predict_s3(tp[:, perm_t]), model.predict_s3(tp)[:, perm_d])
+                close(moved.predict_s4(dp[:, perm_d], tp[:, perm_t]), model.predict_s4(dp, tp))
+            for name in ("y_drug", "y_target", "y_joint"):
+                close(getattr(moved, name), getattr(model, name)[np.ix_(perm_d, perm_t)])
