@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -81,6 +82,14 @@ class DtiDataset:
     def m(self) -> int:
         return len(self.target_ids)
 
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(rows, cols)`` of the nonzero interactions, row-major."""
+        pairs = np.nonzero(self.interactions != 0)  # the same pairs as np.nonzero(Y), found about twice as fast
+        for a in pairs:
+            a.setflags(write=False)
+        return pairs
+
 
 @dataclass(frozen=True)
 class DatasetStats:
@@ -142,8 +151,8 @@ def validate_dataset(ds: DtiDataset) -> list[Finding]:
             Finding("error", f"interaction matrix shape {ds.interactions.shape} does not match (n, m) = ({n}, {m})")
         )
     else:
-        values = np.unique(ds.interactions)
-        if not np.isin(values, (0.0, 1.0)).all():
+        y = ds.interactions
+        if not ((y == 0.0) | (y == 1.0)).all():
             findings.append(Finding("error", "non-binary interaction values"))
     _check_similarity(ds.drug_sim, "drug", n, findings)
     _check_similarity(ds.target_sim, "target", m, findings)
@@ -154,22 +163,34 @@ def _parse_grid(path: Path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a TSV matrix with a header row and header column.
 
     Blank lines are skipped; error messages give the file's own line
-    numbers. Each row is converted by one numpy assignment, which parses
-    with ``float()``; only a row that fails is walked cell by cell, to
-    name the bad cell.
+    numbers. Cells are read as ``float()`` reads them. A body whose
+    lines all have one cell per column goes through numpy's C reader,
+    which parses with the same routine but rejects underscores and
+    non-ASCII digits; if it refuses the body, each row is converted by
+    one numpy assignment, and only a row that fails is walked cell by
+    cell, to name the bad cell.
     """
     text = path.read_text(encoding="utf-8")
     lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) < 2:
         raise DatasetError(f"{path}: expected a header row and at least one data row")
     col_ids = [c.strip() for c in lines[0][1].split("\t")[1:]]
+    m = len(col_ids)
+    body = [ln for _, ln in lines[1:]]
+    if m and all(ln.count("\t") == m for ln in body):
+        try:
+            out = np.loadtxt(body, delimiter="\t", comments=None, usecols=range(1, m + 1), ndmin=2)
+        except ValueError:
+            pass
+        else:
+            return [ln.split("\t", 1)[0].strip() for ln in body], col_ids, out
     row_ids: list[str] = []
-    out = np.empty((len(lines) - 1, len(col_ids)))
+    out = np.empty((len(body), m))
     for r, (lineno, line) in enumerate(lines[1:]):
         cells = line.split("\t")
-        if len(cells) != len(col_ids) + 1:
+        if len(cells) != m + 1:
             raise DatasetError(
-                f"{path}:{lineno}: dimension mismatch: {len(cells) - 1} cells, header has {len(col_ids)} columns"
+                f"{path}:{lineno}: dimension mismatch: {len(cells) - 1} cells, header has {m} columns"
             )
         row_ids.append(cells[0].strip())
         try:
@@ -239,7 +260,7 @@ def load_dataset(
         raise DatasetError(f"{interaction_path}: duplicate drug IDs")
     if len(set(target_ids)) != len(target_ids):
         raise DatasetError(f"{interaction_path}: duplicate target IDs")
-    if not np.isin(np.unique(inter), (0.0, 1.0)).all():
+    if not ((inter == 0.0) | (inter == 1.0)).all():
         raise DatasetError(f"{interaction_path}: non-binary interaction values")
     drug_sim = _load_similarity(Path(drug_sim_path), drug_ids, "drug")
     target_sim = _load_similarity(Path(target_sim_path), target_ids, "target")

@@ -159,7 +159,10 @@ def aupr(scores, labels) -> float:
 
     Scores are swept descending; equal scores form one threshold step.
     The area is the sum over steps of (recall gain) x (precision at the
-    step), which matches an explicit confusion-matrix sweep.
+    step), which matches an explicit confusion-matrix sweep. A step reads
+    the running count of positives only at its last position, where the
+    count is the same exact integer whatever the order inside the step,
+    so the sort need not be stable.
     """
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(labels, dtype=float).ravel()
@@ -169,12 +172,12 @@ def aupr(scores, labels) -> float:
         raise ValueError("empty input")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    if not np.isin(np.unique(y), (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("labels must be binary")
     positives = y.sum()
     if positives == 0:
         raise ValueError("AUPR undefined: no positive labels")
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)
     s = s[order]
     y = y[order]
     true_pos = np.cumsum(y)
@@ -264,8 +267,15 @@ def rank_novel(ds: DtiDataset, learner, setting: str, top_n: int, folds: int | N
         values, block = _fold_scores(ds, fold, model)
         scores[block] = values
     rows, cols = np.nonzero(ds.interactions == 0)
+    values = scores[rows, cols]
+    if top_n < values.size and not np.isnan(values).any():
+        # Only pairs scoring at least the top_n-th largest can rank; ties at the cut stay.
+        # NaN scores, which only a custom learner gives, have no such cut: all are sorted.
+        cut = np.partition(values, values.size - top_n)[values.size - top_n]
+        keep = values >= cut
+        rows, cols, values = rows[keep], cols[keep], values[keep]
     ranked = sorted(
-        ((ds.drug_ids[i], ds.target_ids[j], float(scores[i, j])) for i, j in zip(rows, cols)),
+        zip([ds.drug_ids[i] for i in rows.tolist()], [ds.target_ids[j] for j in cols.tolist()], values.tolist()),
         key=lambda r: (-r[2], r[0], r[1]),
     )
     return ranked[:top_n]

@@ -67,7 +67,7 @@ def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
     # elsewhere. target_pair is built transposed, as when it was computed
     # from the target side: the products keep their layout, and with it
     # the rounding of every sum below.
-    I, J = np.nonzero(Y != 0)  # the same pairs as np.nonzero(Y), found about twice as fast
+    I, J = ds._pairs
     y = Y[I, J][:, None]
     drug_pair, target_pair = np.zeros(Y.shape), np.zeros(Y.shape[::-1]).T
     drug_pair[I, J] = (Y[d_idx[I], J[:, None]] != y).mean(axis=1)

@@ -277,7 +277,7 @@ def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
     """Complete the interaction matrix three ways at one (k, eta)."""
     _check_params(k, eta)
     Y = ds.interactions
-    rows, cols = np.nonzero(Y != 0)  # the same pairs as np.nonzero(Y), found about twice as fast
+    rows, cols = ds._pairs
     by_col = np.argsort(cols, kind="stable")
     y_drug_raw = _recover_rows(ds.drug_sim, Y, rows, cols, k, eta)
     y_target_raw = _recover_rows(ds.target_sim, Y.T, cols[by_col], rows[by_col], k, eta).T

@@ -46,6 +46,23 @@ def oracle_aupr(scores, labels):
     return area
 
 
+def stable_aupr(scores, labels):
+    """``aupr`` as it was with a stable sort, kept as the bit-level oracle."""
+    s = np.asarray(scores, dtype=float).ravel()
+    y = np.asarray(labels, dtype=float).ravel()
+    positives = y.sum()
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    y = y[order]
+    true_pos = np.cumsum(y)
+    seen = np.arange(1, s.size + 1)
+    ends = np.flatnonzero(np.diff(s) != 0)
+    ends = np.append(ends, s.size - 1)
+    precision = true_pos[ends] / seen[ends]
+    recall = true_pos[ends] / positives
+    return float(np.sum(np.diff(recall, prepend=0.0) * precision))
+
+
 class _Flat:
     """Constant-score model: every pair gets the same score."""
 
@@ -89,6 +106,22 @@ class TestAupr:
             if labels.sum() == 0:
                 labels[rng.integers(size)] = 1.0
             assert abs(aupr(scores, labels) - oracle_aupr(scores, labels)) <= 1e-12
+
+    def test_bits_do_not_depend_on_the_order_of_ties(self):
+        # Tie-heavy scores up to past a cv-fixed fold's size; the default sort orders ties
+        # unlike the stable one here, so a tie-order dependence would show.
+        rng = np.random.default_rng(3)
+        sizes = [17, 34, 257, 1000, 8568, 29000, 50000, *rng.integers(17, 50000, 8).tolist()]
+        for size in sizes:
+            for levels in (2, 3, 7, 50):
+                scores = rng.integers(0, levels, size) / (levels - 1)
+                scores = np.where(rng.random(size) < 0.5, -scores, scores)  # ±0.0 among them
+                some = (rng.random(size) < 0.1).astype(float)
+                some[rng.integers(size)] = 1.0
+                single = np.zeros(size)
+                single[rng.integers(size)] = 1.0
+                for labels in (some, np.ones(size), single):
+                    assert aupr(scores, labels).hex() == stable_aupr(scores, labels).hex()
 
     def test_hand_example(self):
         # Steps: top-1 gives P=1 at R=1/2, top-3 gives P=2/3 at R=1.
@@ -449,6 +482,21 @@ class TestLearnerFactories:
             assert (mem.model.k, mem.model.eta) == (2, 0.9)
 
 
+class _Table:
+    """S2 model that answers with fixed rows of a full score table.
+
+    The rows are those of the drugs it was not trained on, in dataset
+    order, which is the order of a fold's test drugs.
+    """
+
+    def __init__(self, ds, table, train):
+        trained = set(train.drug_ids)
+        self.rows = table[[i for i, d in enumerate(ds.drug_ids) if d not in trained]]
+
+    def predict_s2(self, drug_profiles):
+        return self.rows
+
+
 class TestRankNovel:
     def test_excludes_known_interactions(self):
         ds = random_dataset(10, 8, seed=25)
@@ -504,6 +552,26 @@ class TestRankNovel:
             key=lambda r: (-r[2], r[0], r[1]),
         )
         assert rank_novel(ds, learner, setting, len(want), folds=folds, seed=5) == want
+
+    def test_equals_full_sort_with_ties_at_the_cut(self):
+        rng = np.random.default_rng(31)
+        straddled = 0
+        for trial in range(30):
+            ds = random_dataset(int(rng.integers(3, 14)), int(rng.integers(2, 10)), seed=100 + trial)
+            levels = int(rng.integers(2, 6))
+            table = rng.integers(0, levels, (ds.n, ds.m)) / levels
+            table = np.where(rng.random(table.shape) < 0.3, -table, table)  # ±0.0 among them
+            rows, cols = np.nonzero(ds.interactions == 0)
+            want = sorted(
+                ((ds.drug_ids[i], ds.target_ids[j], float(table[i, j])) for i, j in zip(rows, cols)),
+                key=lambda r: (-r[2], r[0], r[1]),
+            )
+            for top_n in range(1, len(want) + 3):
+                got = rank_novel(ds, lambda train: _Table(ds, table, train), "S2", top_n, folds=2)
+                # hex() tells -0.0 from 0.0, which == does not.
+                assert [(d, t, x.hex()) for d, t, x in got] == [(d, t, x.hex()) for d, t, x in want[:top_n]]
+                straddled += top_n < len(want) and want[top_n - 1][2] == want[top_n][2]
+        assert straddled > 0
 
     def test_rejects_bad_top_n(self, f1):
         # True would otherwise slice one row, 2.5 fail inside slicing.
