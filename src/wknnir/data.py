@@ -166,9 +166,8 @@ def _parse_grid(path: Path) -> tuple[list[str], list[str], np.ndarray]:
     numbers. Cells are read as ``float()`` reads them. A body whose
     lines all have one cell per column goes through numpy's C reader,
     which parses with the same routine but rejects underscores and
-    non-ASCII digits; if it refuses the body, each row is converted by
-    one numpy assignment, and only a row that fails is walked cell by
-    cell, to name the bad cell.
+    non-ASCII digits; if it refuses the body, every cell is read by
+    ``float()``, and the first bad one is named.
     """
     text = path.read_text(encoding="utf-8")
     lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
@@ -193,25 +192,16 @@ def _parse_grid(path: Path) -> tuple[list[str], list[str], np.ndarray]:
                 f"{path}:{lineno}: dimension mismatch: {len(cells) - 1} cells, header has {m} columns"
             )
         row_ids.append(cells[0].strip())
-        try:
-            out[r] = cells[1:]
-        except ValueError:
-            out[r] = _parse_cells(path, lineno, cells[1:])
+        values = []
+        for col, cell in enumerate(cells[1:], start=1):
+            try:
+                values.append(float(cell.strip()))
+            except ValueError:
+                cell = cell.strip()
+                what = f"non-numeric value {cell!r}" if cell else f"missing value in column {col}"
+                raise DatasetError(f"{path}:{lineno}: {what}") from None
+        out[r] = values
     return row_ids, col_ids, out
-
-
-def _parse_cells(path: Path, lineno: int, cells: list[str]) -> list[float]:
-    """Convert one row cell by cell, raising on the first bad cell."""
-    values = []
-    for col, cell in enumerate(cells, start=1):
-        cell = cell.strip()
-        if not cell:
-            raise DatasetError(f"{path}:{lineno}: missing value in column {col}")
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise DatasetError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
-    return values
 
 
 def _load_similarity(path: Path, wanted: tuple[str, ...], label: str) -> np.ndarray:

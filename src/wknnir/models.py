@@ -1,11 +1,12 @@
 """Weighted nearest-neighbor interaction predictors.
 
-Two lazy learners over a training dataset. The baseline scores a query
-pair by decay-weighted neighbor labels; the recovery variant first
-completes the interaction matrix from neighbor rows and columns, then
-predicts against the completed matrix, with the decay exponents in the
-double-ring case rescaled by the local-imbalance ratio of the two
-similarity spaces.
+One fitted-model class over a training dataset: WkNNIR scores a query
+pair by decay-weighted neighbor labels read from interaction matrices
+completed from neighbor rows and columns, with the decay exponents in
+the double-ring case rescaled by the local-imbalance ratio of the two
+similarity spaces. WkNN is its special case with no recovery (the
+original matrix serves all three settings) and zero local imbalance
+(no rescaling).
 
 Three inductive settings are supported, named by which side of the query
 is new: S2 (new drug, training target), S3 (training drug, new target),
@@ -26,7 +27,6 @@ from .neighbors import _check_count, neighbor_table, top_k
 
 __all__ = [
     "PairQuery",
-    "WkNNModel",
     "WkNNIRModel",
     "fit_wknn",
     "fit_wknnir",
@@ -141,27 +141,28 @@ def _pair_grid_scores(drug_profiles, target_profiles, labels, k, eta, r_drug, r_
 
 
 class _NeighborPredictor:
-    """Shared query plumbing.
+    """Query plumbing over the fields of ``WkNNIRModel``.
 
-    Subclasses supply ``_labels()``, the (S2, S3, S4) label matrices, and
-    the S4 decay rescalers ``r_drug`` and ``r_target``.
+    A new drug is ranked by drug similarity against ``y_target``, which
+    target similarities recovered; a new target likewise against
+    ``y_drug``; a new pair against ``y_joint``.
     """
 
     def predict_s2(self, drug_profiles) -> np.ndarray:
         """Score new drugs against every training target: (U, n) -> (U, m)."""
         profiles = _check_profiles(drug_profiles, self.dataset.n, "drug")
-        return _decay_scores(*top_k(profiles, self.k), self._labels()[0], self.eta)
+        return _decay_scores(*top_k(profiles, self.k), self.y_target, self.eta)
 
     def predict_s3(self, target_profiles) -> np.ndarray:
         """Score new targets against every training drug: (V, m) -> (V, n)."""
         profiles = _check_profiles(target_profiles, self.dataset.m, "target")
-        return _decay_scores(*top_k(profiles, self.k), self._labels()[1].T, self.eta)
+        return _decay_scores(*top_k(profiles, self.k), self.y_drug.T, self.eta)
 
     def predict_s4(self, drug_profiles, target_profiles) -> np.ndarray:
         """Score new drugs x new targets: (U, n), (V, m) -> (U, V)."""
         dp = _check_profiles(drug_profiles, self.dataset.n, "drug")
         tp = _check_profiles(target_profiles, self.dataset.m, "target")
-        return _pair_grid_scores(dp, tp, self._labels()[2], self.k, self.eta, self.r_drug, self.r_target)
+        return _pair_grid_scores(dp, tp, self.y_joint, self.k, self.eta, self.r_drug, self.r_target)
 
     def predict(self, q: PairQuery) -> float:
         """Score one pair; a pair of two training indices (transductive) is rejected."""
@@ -174,21 +175,6 @@ class _NeighborPredictor:
         if di is not None:
             return float(self.predict_s3(tp[None, :])[0, di])
         return float(self.predict_s4(dp[None, :], tp[None, :])[0, 0])
-
-
-@dataclass(frozen=True, eq=False)
-class WkNNModel(_NeighborPredictor):
-    """Lazy weighted-kNN predictor; fitting just validates and stores."""
-
-    dataset: DtiDataset
-    k: int
-    eta: float
-    # Class constants, not fields: the baseline keeps the plain decay in S4.
-    r_drug = r_target = 1.0
-
-    def _labels(self):
-        y = self.dataset.interactions
-        return y, y, y
 
 
 def _recover_rows(sim, labels, owner, other, k, eta):
@@ -236,7 +222,8 @@ class WkNNIRModel(_NeighborPredictor):
     is rebuilt row-wise from drug neighbors, ``y_target`` column-wise
     from target neighbors, ``y_joint`` blends the two raw recoveries
     weighted by (1 - LI) per side; all three are then maxed with the
-    original matrix so known interactions stay at 1.
+    original matrix so known interactions stay at 1. A WkNN fit has the
+    original matrix as all three and zero LI, so r_drug = r_target = 1.
     """
 
     dataset: DtiDataset
@@ -250,7 +237,8 @@ class WkNNIRModel(_NeighborPredictor):
 
     def __post_init__(self):
         for name in ("y_drug", "y_target", "y_joint"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            # A read-only view: the caller's array stays writable, and nothing is copied.
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -262,15 +250,12 @@ class WkNNIRModel(_NeighborPredictor):
     def r_target(self) -> float:
         return min(1.0, max(self.li_target, LI_FLOOR) / max(self.li_drug, LI_FLOOR))
 
-    def _labels(self):
-        # New drug: target similarities did the recovery, drug similarities rank.
-        return self.y_target, self.y_drug, self.y_joint
 
-
-def fit_wknn(ds: DtiDataset, k: int, eta: float) -> WkNNModel:
-    """Validate parameters and bind them to the dataset; no training."""
+def fit_wknn(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
+    """Validate parameters and bind them to the dataset: no recovery, zero LI."""
     _check_params(k, eta)
-    return WkNNModel(ds, int(k), float(eta))
+    Y = ds.interactions
+    return WkNNIRModel(ds, int(k), float(eta), Y, Y, Y, 0.0, 0.0)
 
 
 def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:

@@ -37,9 +37,10 @@ def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         return order, np.take_along_axis(similarities, order, axis=1)
     # Stable sort on negated values: descending similarity, ascending index on ties.
     neg = -similarities
-    kth = np.partition(neg, k - 1, axis=1)[:, [k - 1]]  # a copy: the partitioned matrix is freed here
-    flat = np.flatnonzero((neg <= kth) | np.isnan(kth))  # candidates, row by row in column order
-    keys = neg.ravel()[flat]
+    neg.partition(k - 1, axis=1)  # in place: neg is only read for its k-th column
+    kth = neg[:, [k - 1]]
+    flat = np.flatnonzero((similarities >= -kth) | np.isnan(kth))  # candidates, row by row in column order
+    keys = -similarities.ravel()[flat]
     if flat.size == rows * k:  # no row ties at its k-th value
         picks = np.take_along_axis(flat.reshape(rows, k), keys.reshape(rows, k).argsort(axis=1, kind="stable"), axis=1)
     else:

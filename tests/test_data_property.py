@@ -1,11 +1,10 @@
 """Property tests: TSV cells are read exactly as ``float()`` reads them.
 
 ``_parse_grid`` hands a body with one cell per column to numpy's C
-reader; if that refuses it, each row is converted by one numpy
-assignment, and a failing row is walked cell by cell only to name the
-bad cell. Generated cells mix numbers in every spelling ``float()``
-knows (padding, ``nan``, ``inf``, underscores, exponents, non-ASCII
-digits) with arbitrary text.
+reader; if that refuses it, every cell is read by ``float()`` and the
+first bad one is named. Generated cells mix numbers in every spelling
+``float()`` knows (padding, ``nan``, ``inf``, underscores, exponents,
+non-ASCII digits) with arbitrary text.
 """
 
 import numpy as np

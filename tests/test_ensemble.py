@@ -9,7 +9,6 @@ from wknnir import (
     PairQuery,
     SamplingStrategy,
     WkNNIRModel,
-    WkNNModel,
     fit_wknn,
     fit_wknnir,
     imbalance_report,
@@ -364,9 +363,15 @@ class TestTrainEnsembleShape:
     def test_base_kind_labels(self, f1):
         wknn = train_ensemble(f1, lambda sub: fit_wknn(sub, 1, 0.8), 1, 1.0, SamplingStrategy("uniform"))
         wknnir = train_ensemble(f1, lambda sub: fit_wknnir(sub, 1, 0.8), 1, 1.0, SamplingStrategy("uniform"))
-        # The members carry the base model kind; the ensemble itself records none.
-        assert all(type(mem.model) is WkNNModel for mem in wknn.members)
-        assert all(type(mem.model) is WkNNIRModel for mem in wknnir.members)
+        # The ensemble records no base model kind; a wknn member is the one
+        # model class with Y as its matrices and zero LI.
+        for mem in wknn.members + wknnir.members:
+            assert type(mem.model) is WkNNIRModel
+        for mem in wknn.members:
+            assert np.shares_memory(mem.model.y_drug, mem.model.dataset.interactions)
+            assert (mem.model.li_drug, mem.model.li_target) == (0.0, 0.0)
+        for mem in wknnir.members:
+            assert not np.shares_memory(mem.model.y_drug, mem.model.dataset.interactions)
 
     def test_deterministic_given_seed(self):
         ds = random_dataset(10, 8, seed=3)

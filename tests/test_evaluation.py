@@ -12,7 +12,6 @@ from wknnir import (
     ParamGrid,
     SamplingStrategy,
     WkNNIRModel,
-    WkNNModel,
     aupr,
     base_factory,
     ensemble_factory,
@@ -470,7 +469,8 @@ class TestLearnerFactories:
         assert isinstance(model, EnsembleModel)
         assert model.q == 2
         for mem in model.members:
-            assert type(mem.model) is WkNNModel
+            assert np.shares_memory(mem.model.y_drug, mem.model.dataset.interactions)
+            assert (mem.model.li_drug, mem.model.li_target) == (0.0, 0.0)
             assert (mem.model.k, mem.model.eta) == (3, 0.4)
 
     def test_ensemble_factory_builds_members_with_given_params(self):

@@ -331,6 +331,24 @@ class TestWkNNIR:
                         reduced.predict(q), baseline.predict(q), atol=1e-12
                     )
 
+    @pytest.mark.parametrize("n,m", [(2, 2), (8, 6), (30, 17)])
+    def test_wknn_fit_is_identity_recovery_without_copies(self, n, m):
+        ds = random_dataset(n, m, seed=n * m)
+        model = fit_wknn(ds, 3, 0.7)
+        assert type(model) is WkNNIRModel
+        assert (model.li_drug, model.li_target) == (0.0, 0.0)
+        assert (model.r_drug, model.r_target) == (1.0, 1.0)
+        for y in (model.y_drug, model.y_target, model.y_joint):
+            assert np.shares_memory(y, ds.interactions)
+
+    def test_model_freezes_views_not_the_callers_arrays(self, f1):
+        y = np.array(f1.interactions)
+        model = WkNNIRModel(f1, 2, 0.5, y, y, y, 0.1, 0.2)
+        assert y.flags.writeable
+        for view in (model.y_drug, model.y_target, model.y_joint):
+            assert not view.flags.writeable
+            assert np.shares_memory(view, y)
+
     def test_recovery_dominance_lifts_predictions(self):
         # scoring against recovered labels can only raise the score
         rng = np.random.default_rng(41)

@@ -41,7 +41,9 @@ def stable_order(sim):
 @settings(max_examples=300, deadline=None)
 @given(sim=matrices(st.integers(0, 8), st.integers(0, 120)), k=KS)
 def test_top_k_equals_stable_argsort(sim, k):
+    before = sim.tobytes()
     idx, vals = top_k(sim, k)
+    assert sim.tobytes() == before
     want = stable_order(sim)[:, :k]
     assert idx.dtype == want.dtype
     np.testing.assert_array_equal(idx, want)
