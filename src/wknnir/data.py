@@ -264,20 +264,35 @@ def load_dataset(
     return ds
 
 
-def _format_value(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(float(x))
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """Text of each finite value: a whole number as an integer (``0`` for -0.0 too), else Python's shortest repr."""
+    whole = values == np.trunc(values)
+    text = np.empty(values.shape, dtype=object)
+    text[whole] = [str(int(x)) for x in values[whole].tolist()]
+    text[~whole] = list(map(repr, values[~whole].tolist()))
+    return text
 
 
 def write_matrix(path, matrix: np.ndarray, row_ids, col_ids):
-    """Write a matrix as TSV with ID header row and column; the corner cell is empty."""
-    path = Path(path)
+    """Write a 2-D matrix as TSV with ID header row and column; the corner cell is empty.
+
+    ``ValueError`` if the IDs do not match the shape, hold a tab or line break,
+    or start or end with whitespace: such a file would not read back.
+    """
+    matrix, row_ids, col_ids = np.asarray(matrix), list(row_ids), list(col_ids)
+    if matrix.ndim != 2 or matrix.shape != (len(row_ids), len(col_ids)):
+        raise ValueError(f"{len(row_ids)} row IDs and {len(col_ids)} column IDs for a matrix of shape {matrix.shape}")
+    if bad := [x for x in row_ids + col_ids if "\t" in x or x != x.strip() or "".join(x.splitlines()) != x]:
+        raise ValueError(f"ID {bad[0]!r} holds a tab or a line break, or starts or ends with whitespace")
+    if (nonfinite := np.flatnonzero(~np.isfinite(matrix))).size:
+        int(matrix.flat[nonfinite[0]].item())  # the first NaN raises ValueError, +-inf OverflowError, as before
+    # Each distinct value is formatted once; 0.0 and -0.0 are one value.
+    values, inverse = np.unique(matrix, return_inverse=True)
+    text = _format_values(values)
     lines = ["\t".join(["", *col_ids])]
-    for rid, row in zip(row_ids, np.asarray(matrix)):
-        # Python scalars give the same text as numpy scalars, and format faster.
-        lines.append("\t".join([rid, *map(_format_value, row.tolist())]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for rid, row in zip(row_ids, inverse.reshape(matrix.shape)):
+        lines.append("\t".join([rid, *text[row].tolist()]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_dataset(ds: DtiDataset, interaction_path, drug_sim_path, target_sim_path):
@@ -287,20 +302,27 @@ def save_dataset(ds: DtiDataset, interaction_path, drug_sim_path, target_sim_pat
     write_matrix(target_sim_path, ds.target_sim, ds.target_ids, ds.target_ids)
 
 
+def _take(arr: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
+    """``arr.take(idx, axis)``, or ``arr`` itself if it is C-ordered and ``idx`` is the identity."""
+    if idx.size == arr.shape[axis] and arr.flags.c_contiguous and (idx == np.arange(idx.size)).all():
+        return arr
+    return arr.take(idx, axis=axis)
+
+
 def subset(ds: DtiDataset, drug_idx, target_idx) -> DtiDataset:
-    """Slice a dataset to the given drug/target indices, preserving order."""
+    """Slice a dataset to the given drug/target indices, preserving order; a side kept whole is shared, not copied."""
     drug_idx = np.asarray(drug_idx, dtype=int)
     target_idx = np.asarray(target_idx, dtype=int)
     # Rows, then columns: two one-axis gathers are cheaper than one np.ix_ gather.
-    # The gathers are new C-contiguous float arrays, so they are frozen in
-    # place; DtiDataset() would copy them once more.
+    # Gathers and shared sides alike are C-contiguous float arrays, so they
+    # are frozen in place; DtiDataset() would copy them once more.
     out = object.__new__(DtiDataset)
     vars(out).update(
         drug_ids=tuple(ds.drug_ids[i] for i in drug_idx),
         target_ids=tuple(ds.target_ids[j] for j in target_idx),
-        drug_sim=ds.drug_sim.take(drug_idx, axis=0).take(drug_idx, axis=1),
-        target_sim=ds.target_sim.take(target_idx, axis=0).take(target_idx, axis=1),
-        interactions=ds.interactions.take(drug_idx, axis=0).take(target_idx, axis=1),
+        drug_sim=_take(_take(ds.drug_sim, drug_idx, 0), drug_idx, 1),
+        target_sim=_take(_take(ds.target_sim, target_idx, 0), target_idx, 1),
+        interactions=_take(_take(ds.interactions, drug_idx, 0), target_idx, 1),
     )
     for arr in (out.drug_sim, out.target_sim, out.interactions):
         arr.setflags(write=False)

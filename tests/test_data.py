@@ -1,5 +1,6 @@
 """Dataset loading, validation, round-trip, and summary statistics."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,47 @@ class TestDtiDataset:
         for arr in (sub.drug_sim, sub.target_sim, sub.interactions):
             assert not arr.flags.writeable and arr.flags.c_contiguous
             assert not np.shares_memory(arr, ds.drug_sim) and not np.shares_memory(arr, ds.interactions)
+
+    @pytest.mark.parametrize(
+        "drugs,targets,shared",
+        [
+            ("whole", "part", {"drug_sim"}),  # an S3 fold
+            ("part", "whole", {"target_sim"}),  # an S2 fold
+            ("whole", "whole", {"drug_sim", "target_sim", "interactions"}),
+            ("reversed", "whole", {"target_sim"}),
+            ("whole", "reversed", {"drug_sim"}),
+            ("part", "part", set()),
+        ],
+    )
+    def test_subset_shares_a_side_kept_whole(self, drugs, targets, shared):
+        ds = random_dataset(12, 9, seed=2)
+        index = {
+            "whole": lambda size: np.arange(size),
+            "part": lambda size: np.arange(1, size - 1),
+            "reversed": lambda size: np.arange(size)[::-1],
+        }
+        drug_idx, target_idx = index[drugs](ds.n), index[targets](ds.m)
+        sub = subset(ds, drug_idx, target_idx)
+        gathers = {
+            "drug_sim": (ds.drug_sim, drug_idx, drug_idx),
+            "target_sim": (ds.target_sim, target_idx, target_idx),
+            "interactions": (ds.interactions, drug_idx, target_idx),
+        }
+        for name, (parent, rows, cols) in gathers.items():
+            arr = getattr(sub, name)
+            np.testing.assert_array_equal(arr, parent[np.ix_(rows, cols)])
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            assert np.shares_memory(arr, parent) == (name in shared), name
+
+    def test_subset_copies_a_whole_side_that_is_not_c_ordered(self):
+        # A target-rows file is transposed on load, so its interactions are Fortran-ordered.
+        src = random_dataset(6, 5, seed=3)
+        ds = DtiDataset(src.drug_ids, src.target_ids, src.drug_sim, src.target_sim, np.asfortranarray(src.interactions))
+        assert not ds.interactions.flags.c_contiguous
+        sub = subset(ds, np.arange(6), np.arange(5))
+        np.testing.assert_array_equal(sub.interactions, ds.interactions)
+        assert sub.interactions.flags.c_contiguous and not sub.interactions.flags.writeable
+        assert not np.shares_memory(sub.interactions, ds.interactions)
 
 
 class TestValidateDataset:
@@ -321,7 +363,20 @@ class TestWriteMatrix:
             spread = rng.random((4, 6)) < 0.4
             matrix[spread] = rng.random(int(spread.sum())) * 10 - 5
             matrices.append(matrix)
+        # Every value repeats across rows and columns, so most cells share a text.
+        for size in range(1, 6):
+            matrices.append(rng.choice(rng.choice(special, size=size, replace=False), size=(4, 6)))
+        # -0.0 and 0.0 are one distinct value; whichever comes first, both are written "0".
+        zeros = np.zeros((4, 6))
+        zeros[0, 0] = zeros[2, 3] = -0.0
+        matrices += [zeros, -zeros]
+        # Values whose int() and repr() differ from the naive text, repeated behind each other.
+        matrices.append(np.array([[2.0**53 + 2, 1e22, 5e-324] * 2] * 2 + [[5e-324, 1e22, 2.0**53 + 2] * 2] * 2))
+        # Other dtypes: integers past 2**53 stay exact; narrow floats are written as their double value.
+        matrices.append(rng.integers(-(2**62), 2**62, size=(4, 6)))
+        matrices += [rng.random((4, 6)).astype(np.float32), rng.random((4, 6)).astype(np.float16)]
         ids = ([f"r{i}" for i in range(4)], [f"c{j}" for j in range(6)])
+        # Successive calls on different matrices: no text carries over from one call to the next.
         for matrix in matrices:
             write_matrix(tmp_path / "m.tsv", matrix, *ids)
             assert (tmp_path / "m.tsv").read_text(encoding="utf-8") == per_scalar_text(matrix, *ids)
@@ -330,9 +385,55 @@ class TestWriteMatrix:
     def test_non_finite_raises_as_before(self, tmp_path, value, error):
         from wknnir.data import write_matrix
 
-        matrix = np.ones((2, 2))
-        matrix[1, 0] = value
-        with pytest.raises(error):
-            per_scalar_text(matrix, ["a", "b"], ["c", "d"])
-        with pytest.raises(error):
-            write_matrix(tmp_path / "m.tsv", matrix, ["a", "b"], ["c", "d"])
+        # The non-finite cell comes after finite cells in its own row and in
+        # earlier rows; a later one of the other kind must not decide the error,
+        # and the message is the one the per-cell rule gives.
+        ids = (["a", "b", "c"], ["d", "e", "f"])
+        for where in [(1, 0), (0, 2), (2, 1)]:
+            matrix = np.array([[1.0, 0.5, 1.0], [0.5, 1.0, 0.5], [1.0, 1.0, 0.5]])
+            matrix[where] = value
+            matrix[2, 2] = np.inf if np.isnan(value) else np.nan
+            with pytest.raises(error) as before:
+                per_scalar_text(matrix, *ids)
+            with pytest.raises(error, match=f"^{re.escape(str(before.value))}$"):
+                write_matrix(tmp_path / "m.tsv", matrix, *ids)
+
+    @pytest.mark.parametrize(
+        "shape,row_ids,col_ids",
+        [
+            ((3, 2), ["a", "b"], ["c", "d", "e"]),  # IDs swapped in count: a row would be dropped
+            ((2, 2), ["a", "b", "x"], ["c", "d"]),
+            ((2, 2), ["a", "b"], ["c"]),
+            ((4,), ["a", "b"], ["c", "d"]),
+            ((2, 2, 1), ["a", "b"], ["c", "d"]),
+        ],
+        ids=["row-dropped", "extra-row-id", "missing-column-id", "1-d", "3-d"],
+    )
+    def test_shape_mismatch_rejected(self, tmp_path, shape, row_ids, col_ids):
+        from wknnir.data import write_matrix
+
+        path = tmp_path / "m.tsv"
+        with pytest.raises(ValueError, match=rf"{len(row_ids)} row IDs and {len(col_ids)} column IDs"):
+            write_matrix(path, np.ones(shape), row_ids, col_ids)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "bad", ["a\tb", "a\nb", "a\r", "\r\nb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", " a", "a ", "\u00a0a"]
+    )
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_id_with_tab_or_line_break_rejected(self, tmp_path, bad, side):
+        from wknnir.data import write_matrix
+
+        row_ids, col_ids = (["a", bad], ["c", "d"]) if side == "row" else (["a", "b"], ["c", bad])
+        path = tmp_path / "m.tsv"
+        # The reader strips each ID, so padding would read back as another ID.
+        with pytest.raises(ValueError, match="holds a tab or a line break, or starts or ends with whitespace"):
+            write_matrix(path, np.ones((2, 2)), row_ids, col_ids)
+        assert not path.exists()
+
+    def test_ids_with_spaces_and_non_ascii_round_trip(self, tmp_path):
+        from wknnir.data import _parse_grid, write_matrix
+
+        path = tmp_path / "m.tsv"
+        write_matrix(path, np.eye(2), ["a b", "\u00e9"], ["", "c"])
+        assert _parse_grid(path)[:2] == (["a b", "\u00e9"], ["", "c"])
