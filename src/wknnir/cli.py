@@ -20,7 +20,6 @@ from pathlib import Path
 from .data import (
     ORIENTATIONS,
     DatasetError,
-    dataset_stats,
     load_dataset,
     write_matrix,
 )
@@ -40,6 +39,7 @@ from .evaluation import (
     tune_hyperparameters,
     tuned_learner,
 )
+from .imbalance import dataset_stats
 from .models import fit_wknnir
 
 __all__ = ["main"]

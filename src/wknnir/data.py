@@ -1,4 +1,4 @@
-"""Loading, validation, and summary statistics for DTI benchmark datasets.
+"""Loading, validation, and writing of DTI benchmark datasets.
 
 A dataset binds three matrices: a drug-drug similarity matrix, a
 target-target similarity matrix, and a binary drug-target interaction
@@ -15,23 +15,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .imbalance import ImbalanceReport, imbalance_report
-
 __all__ = [
     "DatasetError",
     "Finding",
     "DtiDataset",
-    "DatasetStats",
     "load_dataset",
     "save_dataset",
     "validate_dataset",
-    "dataset_stats",
     "subset",
     "write_matrix",
 ]
@@ -56,8 +51,8 @@ class DtiDataset:
     """Immutable bundle of similarity and interaction matrices.
 
     Rows of ``interactions`` are drugs, columns are targets. ``drug_sim``
-    is n x n, ``target_sim`` is m x m. Arrays are copied and marked
-    read-only so a dataset can be shared across threads.
+    is n x n, ``target_sim`` is m x m. Arrays are copied C-ordered and
+    marked read-only, so a dataset can be shared across threads.
     """
 
     drug_ids: tuple[str, ...]
@@ -70,7 +65,7 @@ class DtiDataset:
         object.__setattr__(self, "drug_ids", tuple(str(x) for x in self.drug_ids))
         object.__setattr__(self, "target_ids", tuple(str(x) for x in self.target_ids))
         for name in ("drug_sim", "target_sim", "interactions"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float, order="C")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -89,21 +84,6 @@ class DtiDataset:
         for a in pairs:
             a.setflags(write=False)
         return pairs
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    """Size, density, and local-imbalance summary of a dataset.
-
-    ``sparsity`` is kept as an exact fraction interaction_count / (n*m);
-    use ``float()`` for display.
-    """
-
-    n: int
-    m: int
-    interaction_count: int
-    sparsity: Fraction
-    imbalance: ImbalanceReport
 
 
 def _check_similarity(sim: np.ndarray, label: str, size: int, findings: list[Finding]):
@@ -303,23 +283,31 @@ def save_dataset(ds: DtiDataset, interaction_path, drug_sim_path, target_sim_pat
 
 
 def _take(arr: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
-    """``arr.take(idx, axis)``, or ``arr`` itself if it is C-ordered and ``idx`` is the identity."""
-    if idx.size == arr.shape[axis] and arr.flags.c_contiguous and (idx == np.arange(idx.size)).all():
+    """``arr.take(idx, axis)``, or ``arr`` itself if ``idx`` is the identity."""
+    if idx.size == arr.shape[axis] and (idx == np.arange(idx.size)).all():
         return arr
     return arr.take(idx, axis=axis)
 
 
+def _index(idx, size: int, side: str) -> np.ndarray:
+    """``idx`` as an int array; ``ValueError`` if it holds a non-integer (a bool too) or one outside [0, size)."""
+    idx = np.asarray(idx)
+    if idx.size and (idx.dtype.kind not in "iu" or not 0 <= idx.min() <= idx.max() < size):
+        raise ValueError(f"{side} indices must be integers in [0, {size}), not {idx.dtype} {idx.ravel()[:5].tolist()}")
+    return idx.astype(int, copy=False)
+
+
 def subset(ds: DtiDataset, drug_idx, target_idx) -> DtiDataset:
     """Slice a dataset to the given drug/target indices, preserving order; a side kept whole is shared, not copied."""
-    drug_idx = np.asarray(drug_idx, dtype=int)
-    target_idx = np.asarray(target_idx, dtype=int)
+    drug_idx = _index(drug_idx, ds.n, "drug")
+    target_idx = _index(target_idx, ds.m, "target")
     # Rows, then columns: two one-axis gathers are cheaper than one np.ix_ gather.
     # Gathers and shared sides alike are C-contiguous float arrays, so they
     # are frozen in place; DtiDataset() would copy them once more.
     out = object.__new__(DtiDataset)
     vars(out).update(
-        drug_ids=tuple(ds.drug_ids[i] for i in drug_idx),
-        target_ids=tuple(ds.target_ids[j] for j in target_idx),
+        drug_ids=tuple(map(ds.drug_ids.__getitem__, drug_idx.tolist())),
+        target_ids=tuple(map(ds.target_ids.__getitem__, target_idx.tolist())),
         drug_sim=_take(_take(ds.drug_sim, drug_idx, 0), drug_idx, 1),
         target_sim=_take(_take(ds.target_sim, target_idx, 0), target_idx, 1),
         interactions=_take(_take(ds.interactions, drug_idx, 0), target_idx, 1),
@@ -328,13 +316,3 @@ def subset(ds: DtiDataset, drug_idx, target_idx) -> DtiDataset:
         arr.setflags(write=False)
     return out
 
-
-def dataset_stats(ds: DtiDataset, k: int) -> DatasetStats:
-    """Counts, exact sparsity, and the local-imbalance report at size k.
-
-    ``imbalance_report`` rejects a k outside [1, side size - 1] and a
-    dataset without interactions.
-    """
-    report = imbalance_report(ds, k)
-    count = int(round(float(ds.interactions.sum())))
-    return DatasetStats(ds.n, ds.m, count, Fraction(count, ds.n * ds.m), report)

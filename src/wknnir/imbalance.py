@@ -10,16 +10,14 @@ importance weight that sampling strategies can exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from fractions import Fraction
 
 import numpy as np
 
+from .data import DtiDataset
 from .neighbors import _check_count, neighbor_table
 
-if TYPE_CHECKING:
-    from .data import DtiDataset
-
-__all__ = ["ImbalanceReport", "imbalance_report"]
+__all__ = ["DatasetStats", "ImbalanceReport", "dataset_stats", "imbalance_report"]
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ def _check_k(k: int, limit: int, side: str):
         raise ValueError(f"k={k} out of range [1, {limit}] on the {side} side")
 
 
-def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
+def imbalance_report(ds: DtiDataset, k: int) -> ImbalanceReport:
     """All imbalance quantities at one k, ranking each similarity matrix once.
 
     Raises ``ValueError`` when the dataset has no interactions, since the
@@ -63,13 +61,10 @@ def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
     # drug_pair[i, j] is the fraction of drug i's k nearest drugs whose
     # label for target j differs from Y[i, j]; target_pair the same over
     # target j's k nearest targets. Both are read only through their
-    # product with Y, so they are computed at interacting pairs and left 0
-    # elsewhere. target_pair is built transposed, as when it was computed
-    # from the target side: the products keep their layout, and with it
-    # the rounding of every sum below.
+    # product with Y, so they are left 0 away from interacting pairs.
     I, J = ds._pairs
     y = Y[I, J][:, None]
-    drug_pair, target_pair = np.zeros(Y.shape), np.zeros(Y.shape[::-1]).T
+    drug_pair, target_pair = np.zeros(Y.shape), np.zeros(Y.shape)
     drug_pair[I, J] = (Y[d_idx[I], J[:, None]] != y).mean(axis=1)
     target_pair[I, J] = (Y[I[:, None], t_idx[J]] != y).mean(axis=1)
     drug_pair, target_pair = drug_pair * Y, target_pair * Y
@@ -82,7 +77,7 @@ def imbalance_report(ds: "DtiDataset", k: int) -> ImbalanceReport:
     )
 
 
-def _clamped_report(ds: "DtiDataset", k: int) -> ImbalanceReport | None:
+def _clamped_report(ds: DtiDataset, k: int) -> ImbalanceReport | None:
     """``imbalance_report`` with k clamped to both sides, as the models need it.
 
     Returns None for degenerate inputs (one entity on a side, or no
@@ -91,3 +86,29 @@ def _clamped_report(ds: "DtiDataset", k: int) -> ImbalanceReport | None:
     if ds.n < 2 or ds.m < 2 or not ds.interactions.any():
         return None
     return imbalance_report(ds, min(k, ds.n - 1, ds.m - 1))
+
+
+@dataclass(frozen=True)
+class DatasetStats:
+    """Size, density, and local-imbalance summary of a dataset.
+
+    ``sparsity`` is kept as an exact fraction interaction_count / (n*m);
+    use ``float()`` for display.
+    """
+
+    n: int
+    m: int
+    interaction_count: int
+    sparsity: Fraction
+    imbalance: ImbalanceReport
+
+
+def dataset_stats(ds: DtiDataset, k: int) -> DatasetStats:
+    """Counts, exact sparsity, and the local-imbalance report at size k.
+
+    ``imbalance_report`` rejects a k outside [1, side size - 1] and a
+    dataset without interactions.
+    """
+    report = imbalance_report(ds, k)
+    count = int(round(float(ds.interactions.sum())))
+    return DatasetStats(ds.n, ds.m, count, Fraction(count, ds.n * ds.m), report)

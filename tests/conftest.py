@@ -1,5 +1,8 @@
 """Shared fixtures: the hand-checked F1 dataset and random dataset factories."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,15 @@ def random_dataset(n, m, seed, density=0.3):
     return make_dataset(drug_sim, target_sim, Y)
 
 
+def load_datagen():
+    """The benchmark's seeded generator, loaded from its file rather than copied."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "datagen.py"
+    spec = importlib.util.spec_from_file_location("datagen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def f1():
     return make_dataset(F1_DRUG_SIM, F1_TARGET_SIM, F1_INTERACTIONS)
@@ -51,9 +63,11 @@ def varied_dataset(rng):
 
     Sides of 1 to 24 entities; similarities either distinct or quantised to
     a few levels (tie-heavy), with some all-zero rows; labels binary or
-    non-binary in [0, 1], with all-zero rows and columns, negative zeros
-    and Fortran order mixed in. A third of the datasets are subsets in
-    draw order, as ensemble members see them.
+    non-binary in [0, 1], with all-zero rows and columns and negative
+    zeros mixed in. Some labels are passed Fortran-ordered, which the
+    dataset stores C-ordered, so they check that the layout is normalised.
+    A third of the datasets are subsets in draw order, as ensemble members
+    see them.
     """
     n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
 

@@ -13,6 +13,8 @@ from wknnir import (
     fit_wknn,
     fit_wknnir,
     fixed_learner,
+    imbalance_report,
+    load_dataset,
     rank_novel,
     run_cv,
     save_dataset,
@@ -21,7 +23,7 @@ from wknnir import (
     write_matrix,
 )
 from wknnir.cli import DATA_DIR_ENV, build_parser, main
-from conftest import random_dataset
+from conftest import load_datagen, make_dataset, random_dataset
 
 
 @pytest.fixture
@@ -345,3 +347,30 @@ class TestOrientation:
         flipped_out = capsys.readouterr().out
         assert main(["validate", *dataset_args(paths)]) == 0
         assert flipped_out == capsys.readouterr().out
+
+    def test_stats_and_recover_bytes_do_not_depend_on_orientation(self, tmp_path, capsys):
+        # At GPCR shape, seed 0, LI sums once rounded differently when Y was loaded transposed.
+        datagen = load_datagen()
+        ds = make_dataset(*datagen.generate(*datagen.SHAPES["gpcr"], seed=0))
+        save_dataset(ds, tmp_path / "by_drug.tsv", tmp_path / "drug_sim.tsv", tmp_path / "target_sim.tsv")
+        write_matrix(tmp_path / "by_target.tsv", ds.interactions.T, ds.target_ids, ds.drug_ids)
+        runs = []
+        for name, orientation in (("by_drug.tsv", "drug-rows"), ("by_target.tsv", "target-rows")):
+            report = imbalance_report(
+                load_dataset(tmp_path / name, tmp_path / "drug_sim.tsv", tmp_path / "target_sim.tsv", orientation), 5
+            )
+            args = [
+                "--data-dir", str(tmp_path), "--interactions", name, "--drug-sim", "drug_sim.tsv",
+                "--target-sim", "target_sim.tsv", "--orientation", orientation, "--k", "5",
+            ]
+            assert main(["stats", *args]) == 0
+            stats = capsys.readouterr().out
+            out_dir = tmp_path / orientation
+            assert main(["recover", *args, "--eta", "0.5", "--out-dir", str(out_dir)]) == 0
+            runs.append({
+                **{field: np.asarray(value).tobytes() for field, value in vars(report).items()},
+                "stats": stats,
+                "recover": capsys.readouterr().out,
+                **{f: (out_dir / f).read_bytes() for f in ("y_drug.tsv", "y_target.tsv", "y_joint.tsv")},
+            })
+        assert runs[0] == runs[1]

@@ -90,15 +90,44 @@ class TestDtiDataset:
             assert not arr.flags.writeable and arr.flags.c_contiguous
             assert np.shares_memory(arr, parent) == (name in shared), name
 
-    def test_subset_copies_a_whole_side_that_is_not_c_ordered(self):
-        # A target-rows file is transposed on load, so its interactions are Fortran-ordered.
+    def test_fortran_input_is_stored_c_ordered_and_shared_whole(self):
+        # A target-rows file is transposed on load, so its interactions arrive Fortran-ordered.
         src = random_dataset(6, 5, seed=3)
-        ds = DtiDataset(src.drug_ids, src.target_ids, src.drug_sim, src.target_sim, np.asfortranarray(src.interactions))
-        assert not ds.interactions.flags.c_contiguous
+        names = ("drug_sim", "target_sim", "interactions")
+        ds = DtiDataset(src.drug_ids, src.target_ids, *(np.asfortranarray(getattr(src, a)) for a in names))
         sub = subset(ds, np.arange(6), np.arange(5))
-        np.testing.assert_array_equal(sub.interactions, ds.interactions)
-        assert sub.interactions.flags.c_contiguous and not sub.interactions.flags.writeable
-        assert not np.shares_memory(sub.interactions, ds.interactions)
+        for name in names:
+            arr = getattr(ds, name)
+            np.testing.assert_array_equal(arr, getattr(src, name))
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            assert getattr(sub, name) is arr
+
+    @pytest.mark.parametrize(
+        "drugs,targets,side",
+        [
+            ([True, False, True, True, False], [0], "drug"),  # a mask: cast to int, it would pick drugs 1, 0, 1, 1, 0
+            ([0, 1], [True, True, True, True], "target"),
+            ([0.0, 2.0], [0], "drug"),
+            ([0], [1.9], "target"),
+            ([-1], [0], "drug"),
+            ([5], [0], "drug"),
+            ([0], [0, 4], "target"),
+            ([0], np.array([-1], dtype=np.int8), "target"),
+        ],
+    )
+    def test_subset_rejects_indices_that_are_not_in_range_integers(self, drugs, targets, side):
+        ds = random_dataset(5, 4, seed=1)
+        size = ds.n if side == "drug" else ds.m
+        with pytest.raises(ValueError, match=re.escape(f"{side} indices must be integers in [0, {size})")):
+            subset(ds, drugs, targets)
+
+    @pytest.mark.parametrize("drugs,targets", [([], []), (np.array([], dtype=float), [3]), (np.array([4], dtype=np.uint8), [])])
+    def test_subset_accepts_empty_and_any_integer_dtype(self, drugs, targets):
+        ds = random_dataset(5, 4, seed=1)
+        sub = subset(ds, drugs, targets)
+        assert sub.drug_ids == tuple(ds.drug_ids[i] for i in drugs)
+        assert sub.target_ids == tuple(ds.target_ids[j] for j in targets)
+        np.testing.assert_array_equal(sub.interactions, ds.interactions[np.ix_(np.asarray(drugs, dtype=int), np.asarray(targets, dtype=int))])
 
 
 class TestValidateDataset:

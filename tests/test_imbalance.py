@@ -1,14 +1,11 @@
 """Local-imbalance quantities against naive per-pair enumeration."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from wknnir import imbalance_report
 from wknnir.neighbors import neighbor_table
-from conftest import make_dataset, random_dataset, varied_dataset
+from conftest import load_datagen, make_dataset, random_dataset, varied_dataset
 
 
 def dense_pair_imbalance(ds, k):
@@ -247,15 +244,6 @@ class TestImbalanceReport:
             checked += 1
 
 
-def _datagen():
-    """The benchmark's seeded generator, loaded from its file rather than copied."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "datagen.py"
-    spec = importlib.util.spec_from_file_location("datagen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestNoisySimilarityRaisesItsImbalance:
     """The paper's LI claim on planted data: the less reliable similarity
     space has the higher local imbalance.
@@ -269,7 +257,7 @@ class TestNoisySimilarityRaisesItsImbalance:
 
     @pytest.mark.parametrize("side", ["drug", "target"])
     def test_noised_side_has_higher_li(self, side):
-        datagen = _datagen()
+        datagen = load_datagen()
         n, m, count = datagen.SHAPES["ic"]
         for seed in range(1, 31):
             drug_sim, target_sim, interactions = datagen.generate(n, m, count, seed)
