@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 from .data import (
@@ -39,7 +40,7 @@ from .evaluation import (
     tune_hyperparameters,
     tuned_learner,
 )
-from .imbalance import dataset_stats
+from .imbalance import imbalance_report
 from .models import fit_wknnir
 
 __all__ = ["main"]
@@ -113,14 +114,15 @@ def cmd_validate(args) -> int:
 
 def cmd_stats(args) -> int:
     ds = _load(args)
-    stats = dataset_stats(ds, args.k)
-    report = stats.imbalance
+    report = imbalance_report(ds, args.k)
+    count = int(round(float(ds.interactions.sum())))
+    sparsity = Fraction(count, ds.n * ds.m)  # exact; the published values are rounded displays of it
     payload = {
-        "n": stats.n,
-        "m": stats.m,
-        "interaction_count": stats.interaction_count,
-        "sparsity": float(stats.sparsity),
-        "sparsity_fraction": f"{stats.sparsity.numerator}/{stats.sparsity.denominator}",
+        "n": ds.n,
+        "m": ds.m,
+        "interaction_count": count,
+        "sparsity": float(sparsity),
+        "sparsity_fraction": f"{sparsity.numerator}/{sparsity.denominator}",
         "k": report.k,
         "li_drug": report.li_drug,
         "li_target": report.li_target,

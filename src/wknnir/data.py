@@ -290,15 +290,21 @@ def _take(arr: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _index(idx, size: int, side: str) -> np.ndarray:
-    """``idx`` as an int array; ``ValueError`` if it holds a non-integer (a bool too) or one outside [0, size)."""
+    """``idx`` as an int array; ``ValueError`` if it holds a non-integer (a bool too), one outside [0, size) or a repeat."""
     idx = np.asarray(idx)
     if idx.size and (idx.dtype.kind not in "iu" or not 0 <= idx.min() <= idx.max() < size):
         raise ValueError(f"{side} indices must be integers in [0, {size}), not {idx.dtype} {idx.ravel()[:5].tolist()}")
-    return idx.astype(int, copy=False)
+    idx = idx.astype(int, copy=False)
+    # A repeated entity would be its own nearest neighbor, under an ID that is no longer unique.
+    seen = np.zeros(size, dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) != idx.size:
+        raise ValueError(f"{side} indices must be distinct, not {idx.ravel()[:5].tolist()}")
+    return idx
 
 
 def subset(ds: DtiDataset, drug_idx, target_idx) -> DtiDataset:
-    """Slice a dataset to the given drug/target indices, preserving order; a side kept whole is shared, not copied."""
+    """Slice a dataset to the given distinct drug/target indices, preserving order; a side kept whole is shared, not copied."""
     drug_idx = _index(drug_idx, ds.n, "drug")
     target_idx = _index(target_idx, ds.m, "target")
     # Rows, then columns: two one-axis gathers are cheaper than one np.ix_ gather.

@@ -55,10 +55,10 @@ class SamplingStrategy:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleMember:
-    """One base model plus the ordered entity subsets it was trained on."""
+    """One base model plus the entity subsets it was trained on."""
 
     model: object
-    drug_subset: np.ndarray  # ordered sample, positions define member-local indices
+    drug_subset: np.ndarray  # sorted sample, positions define member-local indices
     target_subset: np.ndarray
 
 
@@ -227,7 +227,9 @@ def train_ensemble(
 
     Member i draws its drug subset then its target subset from a stream
     seeded with seed+i, so members are independent and any prefix of the
-    ensemble is reproducible.
+    ensemble is reproducible. Each subset is sorted before the fit: ranking
+    breaks ties by member-local index, so a member's predictions then depend
+    only on the sets it drew, not on the order of the draw.
     """
     _check_count(q, "q")
     if not 0 < R <= 1:
@@ -238,8 +240,8 @@ def train_ensemble(
     members = []
     for i in range(1, q + 1):
         gen = np.random.default_rng(seed + i)
-        drugs = sample_without_replacement(p_drug, n_draw, gen)
-        targets = sample_without_replacement(p_target, m_draw, gen)
+        drugs = np.sort(sample_without_replacement(p_drug, n_draw, gen))
+        targets = np.sort(sample_without_replacement(p_target, m_draw, gen))
         model = base_factory(subset(ds, drugs, targets))
         members.append(EnsembleMember(model, drugs, targets))
     return EnsembleModel(ds, tuple(members))

@@ -10,14 +10,13 @@ importance weight that sampling strategies can exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .data import DtiDataset
 from .neighbors import _check_count, neighbor_table
 
-__all__ = ["DatasetStats", "ImbalanceReport", "dataset_stats", "imbalance_report"]
+__all__ = ["ImbalanceReport", "imbalance_report"]
 
 
 @dataclass(frozen=True)
@@ -87,28 +86,3 @@ def _clamped_report(ds: DtiDataset, k: int) -> ImbalanceReport | None:
         return None
     return imbalance_report(ds, min(k, ds.n - 1, ds.m - 1))
 
-
-@dataclass(frozen=True)
-class DatasetStats:
-    """Size, density, and local-imbalance summary of a dataset.
-
-    ``sparsity`` is kept as an exact fraction interaction_count / (n*m);
-    use ``float()`` for display.
-    """
-
-    n: int
-    m: int
-    interaction_count: int
-    sparsity: Fraction
-    imbalance: ImbalanceReport
-
-
-def dataset_stats(ds: DtiDataset, k: int) -> DatasetStats:
-    """Counts, exact sparsity, and the local-imbalance report at size k.
-
-    ``imbalance_report`` rejects a k outside [1, side size - 1] and a
-    dataset without interactions.
-    """
-    report = imbalance_report(ds, k)
-    count = int(round(float(ds.interactions.sum())))
-    return DatasetStats(ds.n, ds.m, count, Fraction(count, ds.n * ds.m), report)

@@ -26,7 +26,6 @@ from .imbalance import _clamped_report
 from .neighbors import _check_count, neighbor_table, top_k
 
 __all__ = [
-    "PairQuery",
     "WkNNIRModel",
     "fit_wknn",
     "fit_wknnir",
@@ -37,18 +36,6 @@ TRANSDUCTIVE_ERROR = "transductive setting unsupported: both query entities are 
 # Degenerate datasets can have zero local imbalance on one side; the ratio
 # r = LI_a / LI_b is kept finite by flooring both sides first.
 LI_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class PairQuery:
-    """One drug-target query.
-
-    Each side is either a training index (int) or a similarity profile
-    (1-D array over the training entities of that side).
-    """
-
-    drug: object
-    target: object
 
 
 def _query_part(value, size, side):
@@ -164,10 +151,15 @@ class _NeighborPredictor:
         tp = _check_profiles(target_profiles, self.dataset.m, "target")
         return _pair_grid_scores(dp, tp, self.y_joint, self.k, self.eta, self.r_drug, self.r_target)
 
-    def predict(self, q: PairQuery) -> float:
-        """Score one pair; a pair of two training indices (transductive) is rejected."""
-        di, dp = _query_part(q.drug, self.dataset.n, "drug")
-        tj, tp = _query_part(q.target, self.dataset.m, "target")
+    def predict(self, drug, target) -> float:
+        """Score one drug-target pair.
+
+        Each side is either a training index (int) or a similarity profile
+        (1-D array over the training entities of that side). A pair of two
+        training indices (transductive) is rejected.
+        """
+        di, dp = _query_part(drug, self.dataset.n, "drug")
+        tj, tp = _query_part(target, self.dataset.m, "target")
         if di is not None and tj is not None:
             raise ValueError(TRANSDUCTIVE_ERROR)
         if tj is not None:

@@ -66,8 +66,7 @@ def varied_dataset(rng):
     non-binary in [0, 1], with all-zero rows and columns and negative
     zeros mixed in. Some labels are passed Fortran-ordered, which the
     dataset stores C-ordered, so they check that the layout is normalised.
-    A third of the datasets are subsets in draw order, as ensemble members
-    see them.
+    A third of the datasets are subsets taken in a shuffled order.
     """
     n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
 

@@ -14,8 +14,10 @@ A test whose dataset is missing skips with an explanatory message. The
 property checks at the bottom are self-contained and always run.
 """
 
+import json
 import math
 import os
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,11 +32,11 @@ from wknnir import (
     SamplingStrategy,
     WkNNIRModel,
     base_factory,
-    dataset_stats,
     ensemble_factory,
     fit_wknn,
     fit_wknnir,
     aupr,
+    imbalance_report,
     run_cv,
     sampling_probabilities,
     save_dataset,
@@ -149,7 +151,7 @@ class TestReferenceLocalImbalance:
     def test_li_at_k5_matches_reference(self, name):
         ds = benchmark(name)
         assert (ds.n, ds.m, int(ds.interactions.sum())) == SHAPES[name]
-        report = dataset_stats(ds, 5).imbalance
+        report = imbalance_report(ds, 5)
         li_drug, li_target = LI_REFERENCE[name]
         assert report.li_drug == pytest.approx(li_drug, abs=LI_TOLERANCE)
         assert report.li_target == pytest.approx(li_target, abs=LI_TOLERANCE)
@@ -157,15 +159,20 @@ class TestReferenceLocalImbalance:
 
 class TestReferenceSparsity:
     @pytest.mark.parametrize("name", DATASETS)
-    def test_sparsity_rounds_to_reference(self, name):
-        ds = benchmark(name)
-        stats = dataset_stats(ds, 1)
+    def test_sparsity_rounds_to_reference(self, name, tmp_path):
+        # The exact sparsity is what `wknnir stats` reports as sparsity_fraction.
+        files = [tmp_path / f"{part}.tsv" for part in ("interactions", "drug_sim", "target_sim")]
+        save_dataset(benchmark(name), *files)
+        out = tmp_path / "stats.json"
+        argv = ["stats", "--interactions", str(files[0]), "--drug-sim", str(files[1]), "--target-sim", str(files[2])]
+        assert main([*argv, "--k", "1", "--out", str(out)]) == 0
+        sparsity = Fraction(json.loads(out.read_text())["sparsity_fraction"])
         n, m, count = SHAPES[name]
         # Exact rational arithmetic first, display rounding second.
-        assert stats.sparsity * (n * m) == count
+        assert sparsity * (n * m) == count
         reference = SPARSITY_REFERENCE[name]
         decimals = len(reference.split(".")[1])
-        assert round(float(stats.sparsity), decimals) == float(reference)
+        assert round(float(sparsity), decimals) == float(reference)
 
 
 class TestReferenceCvAupr:

@@ -9,7 +9,6 @@ import pytest
 from wknnir import (
     DEFAULT_GRID,
     CvPlan,
-    dataset_stats,
     fit_wknn,
     fit_wknnir,
     fixed_learner,
@@ -81,7 +80,7 @@ class TestStats:
         ds, paths = data_files
         assert main(["stats", *dataset_args(paths), "--k", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        stats = dataset_stats(ds, 2)
+        report = imbalance_report(ds, 2)
         count = int(ds.interactions.sum())
         frac = Fraction(count, 48)
         assert payload["n"] == 8 and payload["m"] == 6
@@ -89,8 +88,8 @@ class TestStats:
         assert payload["sparsity"] == float(frac)
         assert payload["sparsity_fraction"] == f"{frac.numerator}/{frac.denominator}"
         assert payload["k"] == 2
-        assert payload["li_drug"] == stats.imbalance.li_drug
-        assert payload["li_target"] == stats.imbalance.li_target
+        assert payload["li_drug"] == report.li_drug
+        assert payload["li_target"] == report.li_target
         assert len(payload["drug_importance"]) == 8
         assert len(payload["target_importance"]) == 6
 

@@ -1,5 +1,6 @@
 """Dataset loading, validation, round-trip, and summary statistics."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -9,12 +10,12 @@ import pytest
 from wknnir import (
     DatasetError,
     DtiDataset,
-    dataset_stats,
     load_dataset,
     save_dataset,
     subset,
     validate_dataset,
 )
+from wknnir.cli import main
 from conftest import F1_DRUG_SIM, F1_INTERACTIONS, F1_TARGET_SIM, make_dataset, random_dataset
 
 
@@ -119,6 +120,12 @@ class TestDtiDataset:
         ds = random_dataset(5, 4, seed=1)
         size = ds.n if side == "drug" else ds.m
         with pytest.raises(ValueError, match=re.escape(f"{side} indices must be integers in [0, {size})")):
+            subset(ds, drugs, targets)
+
+    @pytest.mark.parametrize("drugs,targets,side", [([0, 0, 1, 2], [0], "drug"), ([1], [3, 0, 3], "target")])
+    def test_subset_rejects_repeated_indices(self, drugs, targets, side):
+        ds = random_dataset(5, 4, seed=1)
+        with pytest.raises(ValueError, match=f"{side} indices must be distinct"):
             subset(ds, drugs, targets)
 
     @pytest.mark.parametrize("drugs,targets", [([], []), (np.array([], dtype=float), [3]), (np.array([4], dtype=np.uint8), [])])
@@ -321,24 +328,38 @@ class TestLoadDataset:
 
 
 class TestDatasetStats:
-    def test_f1_stats(self, f1):
-        stats = dataset_stats(f1, 1)
-        assert stats.interaction_count == 4
-        assert stats.sparsity == Fraction(2, 3)
-        assert stats.imbalance.li_drug == 0.75
-        assert stats.imbalance.li_target == 0.5
-        assert stats.imbalance.k == 1
+    """What ``wknnir stats`` reports: counts, exact sparsity and the LI at one k."""
 
-    def test_sparsity_is_exact(self):
+    @staticmethod
+    def argv(paths, k):
+        y, sd, st = map(str, paths)
+        return ["stats", "--interactions", y, "--drug-sim", sd, "--target-sim", st, "--k", str(k)]
+
+    def test_f1_stats(self, tmp_path, capsys):
+        _, paths = write_f1(tmp_path)
+        assert main(self.argv(paths, 1)) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["interaction_count"] == 4
+        assert stats["sparsity_fraction"] == "2/3"
+        assert stats["li_drug"] == 0.75
+        assert stats["li_target"] == 0.5
+        assert stats["k"] == 1
+
+    def test_sparsity_is_exact(self, tmp_path, capsys):
         # integer identity: sparsity * n * m == interaction count, no float error
+        paths = (tmp_path / "y.tsv", tmp_path / "sd.tsv", tmp_path / "st.tsv")
         for seed in range(10):
             ds = random_dataset(9, 7, seed)
-            stats = dataset_stats(ds, 2)
-            assert stats.sparsity * ds.n * ds.m == stats.interaction_count
+            save_dataset(ds, *paths)
+            assert main(self.argv(paths, 2)) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert stats["interaction_count"] == int(ds.interactions.sum())
+            assert Fraction(stats["sparsity_fraction"]) * ds.n * ds.m == stats["interaction_count"]
 
-    def test_k_out_of_range(self, f1):
-        with pytest.raises(ValueError, match="out of range"):
-            dataset_stats(f1, 2)  # min(n, m) - 1 == 1
+    def test_k_out_of_range(self, tmp_path, capsys):
+        _, paths = write_f1(tmp_path)
+        assert main(self.argv(paths, 2)) == 1  # min(n, m) - 1 == 1
+        assert "out of range" in capsys.readouterr().err
 
 
 class TestParseLineNumbers:

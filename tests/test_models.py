@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from wknnir import (
-    PairQuery,
+    CvPlan,
+    DtiDataset,
     WkNNIRModel,
     fit_wknn,
     fit_wknnir,
+    run_cv,
     subset,
 )
 from wknnir.imbalance import _clamped_report
 from wknnir.models import _decay_scores
 from wknnir.neighbors import neighbor_table
-from conftest import make_dataset, random_dataset, varied_dataset
+from conftest import load_datagen, make_dataset, random_dataset, varied_dataset
 
 
 def oracle_rank(profile, k):
@@ -87,42 +89,42 @@ class TestFitValidation:
 class TestWkNNPredict:
     def test_f1_hand_value(self, f1):
         model = fit_wknn(f1, 2, 0.5)
-        score = model.predict(PairQuery(np.array([0.8, 0.4, 0.0]), 0))
+        score = model.predict(np.array([0.8, 0.4, 0.0]), 0)
         np.testing.assert_allclose(score, (1 * 0.8 * 1 + 0.5 * 0.4 * 0) / (0.8 + 0.4))
 
     def test_k1_nearest_positive_scores_one(self, f1):
         model = fit_wknn(f1, 1, 0.3)
-        assert model.predict(PairQuery(np.array([0.8, 0.4, 0.0]), 0)) == 1.0
+        assert model.predict(np.array([0.8, 0.4, 0.0]), 0) == 1.0
 
     def test_zero_profile_scores_zero(self, f1):
         model = fit_wknn(f1, 2, 0.5)
-        assert model.predict(PairQuery(np.zeros(3), 0)) == 0.0
-        assert model.predict(PairQuery(np.zeros(3), np.zeros(2))) == 0.0
+        assert model.predict(np.zeros(3), 0) == 0.0
+        assert model.predict(np.zeros(3), np.zeros(2)) == 0.0
 
     def test_transductive_rejected(self, f1):
         model = fit_wknn(f1, 2, 0.5)
         with pytest.raises(ValueError, match="transductive"):
-            model.predict(PairQuery(0, 1))
+            model.predict(0, 1)
 
     def test_bad_profiles_rejected(self, f1):
         model = fit_wknn(f1, 2, 0.5)
         with pytest.raises(ValueError, match="length"):
-            model.predict(PairQuery(np.array([0.8, 0.4]), 0))
+            model.predict(np.array([0.8, 0.4]), 0)
         with pytest.raises(ValueError, match="outside"):
-            model.predict(PairQuery(np.array([0.8, 0.4, 1.3]), 0))
+            model.predict(np.array([0.8, 0.4, 1.3]), 0)
         with pytest.raises(IndexError):
-            model.predict(PairQuery(np.array([0.8, 0.4, 0.0]), 7))
+            model.predict(np.array([0.8, 0.4, 0.0]), 7)
 
-    @pytest.mark.parametrize("query", [PairQuery(True, np.array([0.5, 0.2])), PairQuery(np.zeros(3), np.bool_(False))])
+    @pytest.mark.parametrize("query", [(True, np.array([0.5, 0.2])), (np.zeros(3), np.bool_(False))])
     def test_bool_query_side_rejected(self, f1, query):
         # bool is an int subclass; it must not pass for a training index.
         with pytest.raises(TypeError, match="got bool"):
-            fit_wknn(f1, 2, 0.5).predict(query)
+            fit_wknn(f1, 2, 0.5).predict(*query)
 
     def test_nan_profiles_rejected(self, f1):
         model = fit_wknn(f1, 2, 0.5)
         with pytest.raises(ValueError, match="drug profile values outside"):
-            model.predict(PairQuery(np.array([0.8, np.nan, 0.0]), 0))
+            model.predict(np.array([0.8, np.nan, 0.0]), 0)
         with pytest.raises(ValueError, match="target profile values outside"):
             model.predict_s3(np.array([[0.5, 0.2], [np.nan, 0.1]]))
 
@@ -138,11 +140,11 @@ class TestWkNNPredict:
             tprof = rng.random(6)
             j = int(rng.integers(6))
             i = int(rng.integers(8))
-            s2 = model.predict(PairQuery(dprof, j))
+            s2 = model.predict(dprof, j)
             np.testing.assert_allclose(s2, oracle_one_side(Y, dprof, j, k, eta), atol=1e-12)
-            s3 = model.predict(PairQuery(i, tprof))
+            s3 = model.predict(i, tprof)
             np.testing.assert_allclose(s3, oracle_one_side(Y.T, tprof, i, k, eta), atol=1e-12)
-            s4 = model.predict(PairQuery(dprof, tprof))
+            s4 = model.predict(dprof, tprof)
             np.testing.assert_allclose(s4, oracle_pair_grid(Y, dprof, tprof, k, eta), atol=1e-12)
 
     def test_s4_k1_equals_nearest_entry(self):
@@ -153,7 +155,7 @@ class TestWkNNPredict:
         tprof = rng.random(5) * 0.9 + 0.05
         i = oracle_rank(dprof, 1)[0]
         j = oracle_rank(tprof, 1)[0]
-        np.testing.assert_allclose(model.predict(PairQuery(dprof, tprof)), ds.interactions[i, j], atol=1e-12)
+        np.testing.assert_allclose(model.predict(dprof, tprof), ds.interactions[i, j], atol=1e-12)
 
     def test_eta_one_all_ones_column_scores_one(self):
         ds = make_dataset(
@@ -162,7 +164,7 @@ class TestWkNNPredict:
             [[1, 0], [1, 1], [1, 0]],
         )
         model = fit_wknn(ds, 3, 1.0)
-        assert model.predict(PairQuery(np.array([0.5, 0.2, 0.9]), 0)) == 1.0
+        assert model.predict(np.array([0.5, 0.2, 0.9]), 0) == 1.0
 
     def test_batch_agrees_with_scalar(self):
         ds = random_dataset(7, 5, 9)
@@ -175,13 +177,13 @@ class TestWkNNPredict:
         s4 = model.predict_s4(dp, tp)
         for u in range(4):
             for v in range(5):
-                assert s2[u, v] == model.predict(PairQuery(dp[u], v))
+                assert s2[u, v] == model.predict(dp[u], v)
         for v in range(3):
             for i in range(7):
-                assert s3[v, i] == model.predict(PairQuery(i, tp[v]))
+                assert s3[v, i] == model.predict(i, tp[v])
         for u in range(4):
             for v in range(3):
-                assert s4[u, v] == model.predict(PairQuery(dp[u], tp[v]))
+                assert s4[u, v] == model.predict(dp[u], tp[v])
 
 
 class TestRecovery:
@@ -270,7 +272,7 @@ class TestRecovery:
 class TestWkNNIR:
     def test_f1_hand_value(self, f1):
         model = fit_wknnir(f1, 1, 0.5)
-        assert model.predict(PairQuery(np.array([0.8, 0.4, 0.0]), 1)) == 1.0
+        assert model.predict(np.array([0.8, 0.4, 0.0]), 1) == 1.0
 
     def test_rank_scale_construction(self, f1):
         model = fit_wknnir(f1, 1, 0.5)
@@ -296,17 +298,17 @@ class TestWkNNIR:
             i = int(rng.integers(8))
             j = int(rng.integers(6))
             np.testing.assert_allclose(
-                model.predict(PairQuery(dprof, j)),
+                model.predict(dprof, j),
                 oracle_one_side(model.y_target, dprof, j, k, eta),
                 atol=1e-12,
             )
             np.testing.assert_allclose(
-                model.predict(PairQuery(i, tprof)),
+                model.predict(i, tprof),
                 oracle_one_side(model.y_drug.T, tprof, i, k, eta),
                 atol=1e-12,
             )
             np.testing.assert_allclose(
-                model.predict(PairQuery(dprof, tprof)),
+                model.predict(dprof, tprof),
                 oracle_pair_grid(model.y_joint, dprof, tprof, k, eta, model.r_drug, model.r_target),
                 atol=1e-12,
             )
@@ -326,9 +328,9 @@ class TestWkNNIR:
                 tprof = rng.random(6)
                 j = int(rng.integers(6))
                 i = int(rng.integers(8))
-                for q in (PairQuery(dprof, j), PairQuery(i, tprof), PairQuery(dprof, tprof)):
+                for q in ((dprof, j), (i, tprof), (dprof, tprof)):
                     np.testing.assert_allclose(
-                        reduced.predict(q), baseline.predict(q), atol=1e-12
+                        reduced.predict(*q), baseline.predict(*q), atol=1e-12
                     )
 
     @pytest.mark.parametrize("n,m", [(2, 2), (8, 6), (30, 17)])
@@ -360,12 +362,12 @@ class TestWkNNIR:
             for _ in range(10):
                 dprof = rng.random(8)
                 j = int(rng.integers(6))
-                assert model.predict(PairQuery(dprof, j)) >= raw_s2.predict(PairQuery(dprof, j)) - 1e-12
+                assert model.predict(dprof, j) >= raw_s2.predict(dprof, j) - 1e-12
 
     def test_transductive_rejected(self, f1):
         model = fit_wknnir(f1, 1, 0.5)
         with pytest.raises(ValueError, match="transductive"):
-            model.predict(PairQuery(1, 0))
+            model.predict(1, 0)
 
     @pytest.mark.parametrize("n,m", [(1, 5), (6, 1), (1, 1)])
     def test_one_entity_side(self, n, m):
@@ -411,3 +413,63 @@ class TestEntityPermutation:
                 close(moved.predict_s4(dp[:, perm_d], tp[:, perm_t]), model.predict_s4(dp, tp))
             for name in ("y_drug", "y_target", "y_joint"):
                 close(getattr(moved, name), getattr(model, name)[np.ix_(perm_d, perm_t)])
+
+
+def mirror_cases():
+    """(dataset, k) pairs: NR shape with and without ties, and sides of 2 with k >= n."""
+    datagen = load_datagen()
+    for seed in range(4):
+        nr = make_dataset(*datagen.generate(54, 26, 90, seed, ties=seed % 2 == 1))
+        yield nr, 3
+        yield nr, 5
+    for seed, (n, m) in enumerate([(2, 6), (7, 2), (2, 2)]):
+        yield random_dataset(n, m, seed=700 + seed, density=0.5), 9
+    yield make_dataset(*datagen.generate(8, 5, 12, 4, ties=True)), 9
+
+
+class TestDrugTargetMirror:
+    """Swapping the roles of drugs and targets swaps every output.
+
+    Bytes where both halves add the same terms in the same order. Within
+    1e-12 where a sum runs in memory order (LI, and through it y_joint;
+    the importances) or over drug ranks outside target ranks (S4).
+    """
+
+    @staticmethod
+    def mirror(ds):
+        return DtiDataset(ds.target_ids, ds.drug_ids, ds.target_sim, ds.drug_sim, ds.interactions.T)
+
+    def test_fits_and_scores_mirror(self):
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        rng = np.random.default_rng(71)
+        for ds, k in mirror_cases():
+            mirrored = self.mirror(ds)
+            dp, tp = rng.random((4, ds.n)), rng.random((3, ds.m))
+            dp[1::2], tp[1::2] = np.round(dp[1::2] * 4) / 4, np.round(tp[1::2] * 4) / 4
+            for fit in (fit_wknn, fit_wknnir):
+                for eta in (0.5, 0.8):
+                    model, swapped = fit(ds, k, eta), fit(mirrored, k, eta)
+                    assert model.y_drug.tobytes() == swapped.y_target.T.tobytes()
+                    assert model.y_target.tobytes() == swapped.y_drug.T.tobytes()
+                    assert model.predict_s2(dp).tobytes() == swapped.predict_s3(dp).tobytes()
+                    assert model.predict_s3(tp).tobytes() == swapped.predict_s2(tp).tobytes()
+                    close(model.y_joint, swapped.y_joint.T)
+                    close([model.li_drug, model.li_target], [swapped.li_target, swapped.li_drug])
+                    close(model.predict_s4(dp, tp), swapped.predict_s4(tp, dp).T)
+            report, swapped_report = _clamped_report(ds, k), _clamped_report(mirrored, k)
+            close(report.drug_importance, swapped_report.target_importance)
+            close(report.target_importance, swapped_report.drug_importance)
+
+    def test_new_drug_cv_is_new_target_cv_on_the_mirror(self):
+        # S2 shuffles the drugs and S3 on the mirror the same count from the
+        # same stream, so the folds coincide.
+        for ds, k in mirror_cases():
+            folds = min(5, ds.n)
+            learner = lambda train: fit_wknnir(train, k, 0.8)
+            s2 = run_cv(ds, learner, CvPlan("S2", folds, seed=3))
+            s3 = run_cv(self.mirror(ds), learner, CvPlan("S3", folds, seed=3))
+            # repr round-trips every float, so equal reprs mean equal bits.
+            assert repr(s2.folds) == repr(s3.folds)
+            assert repr(s2.mean_aupr) == repr(s3.mean_aupr)
