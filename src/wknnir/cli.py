@@ -123,7 +123,7 @@ def cmd_stats(args) -> int:
         "interaction_count": count,
         "sparsity": float(sparsity),
         "sparsity_fraction": f"{sparsity.numerator}/{sparsity.denominator}",
-        "k": report.k,
+        "k": args.k,
         "li_drug": report.li_drug,
         "li_target": report.li_target,
         "drug_importance": [float(x) for x in report.drug_importance],

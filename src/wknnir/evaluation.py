@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import DtiDataset, subset
 from .ensemble import SamplingStrategy, train_ensemble
-from .models import fit_wknn, fit_wknnir
+from .models import _check_params, fit_wknn, fit_wknnir
 from .neighbors import _check_count
 
 __all__ = [
@@ -102,14 +102,13 @@ class CvResult:
     the mean (their per-fold value is NaN).
     """
 
-    setting: str
     folds: tuple
     mean_aupr: float
 
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Exhaustive (k, eta) grid; cells are visited in the given order."""
+    """Exhaustive (k, eta) grid, checked as a fit checks; cells are visited in the given order."""
 
     k_values: tuple
     eta_values: tuple
@@ -117,6 +116,8 @@ class ParamGrid:
     def __post_init__(self):
         if not self.k_values or not self.eta_values:
             raise ValueError("parameter grid must be non-empty")
+        for k, eta in self.cells():
+            _check_params(k, eta)
 
     def cells(self):
         return product(self.k_values, self.eta_values)
@@ -190,13 +191,14 @@ def aupr(scores, labels) -> float:
     return float(np.sum(np.diff(recall, prepend=0.0) * precision))
 
 
-def _fold_scores(ds: DtiDataset, fold: Fold, model):
-    """Score a fold's test block; returns ``(scores, block)``.
+def _fold_scores(ds: DtiDataset, fold: Fold, learner):
+    """Fit on a fold's training block and score its test block; returns ``(scores, block)``.
 
     Scores are drugs x targets. ``block`` is the ``np.ix_`` index of the
     pairs they score: on each side the test part, or all training
     entities where that part is empty (the side is not held out).
     """
+    model = learner(subset(ds, fold.train_drugs, fold.train_targets))
     drugs = fold.test_drugs if fold.test_drugs.size else fold.train_drugs
     targets = fold.test_targets if fold.test_targets.size else fold.train_targets
     dp = ds.drug_sim[np.ix_(fold.test_drugs, fold.train_drugs)]
@@ -216,8 +218,7 @@ def run_cv(ds: DtiDataset, learner, plan: CvPlan, threads: int = 1) -> CvResult:
     folds = generate_folds(ds, plan)
 
     def run_one(fold):
-        model = learner(subset(ds, fold.train_drugs, fold.train_targets))
-        scores, block = _fold_scores(ds, fold, model)
+        scores, block = _fold_scores(ds, fold, learner)
         labels = ds.interactions[block]
         positives = int(labels.sum())
         value = aupr(scores.ravel(), labels.ravel()) if positives else math.nan
@@ -230,7 +231,7 @@ def run_cv(ds: DtiDataset, learner, plan: CvPlan, threads: int = 1) -> CvResult:
         results = [run_one(f) for f in folds]
     values = [r.aupr for r in results if not math.isnan(r.aupr)]
     mean = float(np.mean(values)) if values else math.nan
-    return CvResult(plan.setting, tuple(results), mean)
+    return CvResult(tuple(results), mean)
 
 
 def tune_hyperparameters(ds: DtiDataset, grid: ParamGrid, plan: CvPlan, inner_folds: int, factory=fit_wknn) -> dict:
@@ -238,18 +239,16 @@ def tune_hyperparameters(ds: DtiDataset, grid: ParamGrid, plan: CvPlan, inner_fo
 
     ``plan`` supplies the setting, seed, and repetition count; the fold
     count is replaced by ``inner_folds``. ``factory(ds, k, eta)`` builds
-    the model under selection.
+    the model under selection. A NaN mean ranks below every other.
     """
     inner_plan = CvPlan(plan.setting, inner_folds, plan.repetitions, plan.seed)
-    best = None
-    best_mean = -math.inf
-    for k, eta in grid.cells():
-        result = run_cv(ds, lambda train: factory(train, k, eta), inner_plan)
-        if best is None or (not math.isnan(result.mean_aupr) and result.mean_aupr > best_mean):
-            best = {"k": k, "eta": eta}
-            if not math.isnan(result.mean_aupr):
-                best_mean = result.mean_aupr
-    return best
+
+    def mean(cell):
+        value = run_cv(ds, lambda train: factory(train, *cell), inner_plan).mean_aupr
+        return -math.inf if math.isnan(value) else value
+
+    k, eta = max(grid.cells(), key=mean)  # max returns the first of equal maxima
+    return {"k": k, "eta": eta}
 
 
 def rank_novel(ds: DtiDataset, learner, setting: str, top_n: int, folds: int | None = None, seed: int = 0) -> list:
@@ -257,20 +256,21 @@ def rank_novel(ds: DtiDataset, learner, setting: str, top_n: int, folds: int | N
 
     Every pair is scored exactly once (its own test fold); pairs with a
     known interaction are excluded; ties are broken by drug then target
-    ID. Returns ``top_n`` tuples of (drug_id, target_id, score).
+    ID. Returns ``top_n`` tuples of (drug_id, target_id, score). Raises
+    ``ValueError`` if any held-out score is not finite, as ``aupr`` does.
     """
     _check_count(top_n, "top_n")
     plan = CvPlan(setting, folds if folds is not None else OUTER_FOLDS[setting], repetitions=1, seed=seed)
     scores = np.full((ds.n, ds.m), np.nan)
     for fold in generate_folds(ds, plan):
-        model = learner(subset(ds, fold.train_drugs, fold.train_targets))
-        values, block = _fold_scores(ds, fold, model)
+        values, block = _fold_scores(ds, fold, learner)
         scores[block] = values
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("held-out scores must be finite")
     rows, cols = np.nonzero(ds.interactions == 0)
     values = scores[rows, cols]
-    if top_n < values.size and not np.isnan(values).any():
+    if top_n < values.size:
         # Only pairs scoring at least the top_n-th largest can rank; ties at the cut stay.
-        # NaN scores, which only a custom learner gives, have no such cut: all are sorted.
         cut = np.partition(values, values.size - top_n)[values.size - top_n]
         keep = values >= cut
         rows, cols, values = rows[keep], cols[keep], values[keep]

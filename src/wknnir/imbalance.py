@@ -30,7 +30,6 @@ class ImbalanceReport:
     Symmetrically for targets.
     """
 
-    k: int
     li_drug: float
     li_target: float
     drug_importance: np.ndarray  # (n,)
@@ -68,7 +67,6 @@ def imbalance_report(ds: DtiDataset, k: int) -> ImbalanceReport:
     target_pair[I, J] = (Y[I[:, None], t_idx[J]] != y).mean(axis=1)
     drug_pair, target_pair = drug_pair * Y, target_pair * Y
     return ImbalanceReport(
-        k=k,
         li_drug=float(drug_pair.sum() / total),
         li_target=float(target_pair.sum() / total),
         drug_importance=drug_pair.sum(axis=1),

@@ -39,7 +39,7 @@ LI_FLOOR = 1e-6
 
 
 def _query_part(value, size, side):
-    """Classify one query side; returns (index, profile), one of them None."""
+    """Classify one query side; returns (index, profile), one of them None (values checked by predict_s*)."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{side} query must be an index or a profile, got bool")
     if isinstance(value, (int, np.integer)):
@@ -50,7 +50,6 @@ def _query_part(value, size, side):
     profile = np.asarray(value, dtype=float)
     if profile.ndim != 1 or profile.shape[0] != size:
         raise ValueError(f"{side} profile must have length {size}, got shape {profile.shape}")
-    _check_unit_range(profile, side)
     return None, profile
 
 
@@ -60,17 +59,13 @@ def _check_params(k, eta):
         raise ValueError(f"eta must be in [0, 1], got {eta!r}")
 
 
-def _check_unit_range(values, side):
-    # Phrased so that NaN fails too.
-    if not np.all((values >= 0) & (values <= 1)):
-        raise ValueError(f"{side} profile values outside [0, 1]")
-
-
 def _check_profiles(profiles, width, side):
     profiles = np.asarray(profiles, dtype=float)
     if profiles.ndim != 2 or profiles.shape[1] != width:
         raise ValueError(f"{side} profiles must be 2-D with {width} columns, got shape {profiles.shape}")
-    _check_unit_range(profiles, side)
+    # Phrased so that NaN fails too.
+    if not np.all((profiles >= 0) & (profiles <= 1)):
+        raise ValueError(f"{side} profile values outside [0, 1]")
     return profiles
 
 

@@ -30,7 +30,6 @@ def dense_report(ds, k):
     Y = ds.interactions
     total = Y.sum()
     return {
-        "k": k,
         "li_drug": float((drug_pair * Y).sum() / total),
         "li_target": float((target_pair * Y).sum() / total),
         "drug_importance": (drug_pair * Y).sum(axis=1),
@@ -220,7 +219,6 @@ class TestImbalanceReport:
             report = imbalance_report(ds, 2)
             drug_pair, target_pair = dense_pair_imbalance(ds, 2)
             Y = ds.interactions
-            assert report.k == 2
             assert report.li_drug == (drug_pair * Y).sum() / Y.sum()
             assert report.li_target == (target_pair * Y).sum() / Y.sum()
             np.testing.assert_array_equal(report.drug_importance, (drug_pair * Y).sum(axis=1))
@@ -236,7 +234,6 @@ class TestImbalanceReport:
                 continue
             for k in {1, int(rng.integers(1, min(ds.n, ds.m))), min(ds.n, ds.m) - 1}:
                 got, want = imbalance_report(ds, k), dense_report(ds, k)
-                assert got.k == want["k"]
                 for name in ("li_drug", "li_target"):
                     assert np.float64(getattr(got, name)).tobytes() == np.float64(want[name]).tobytes()
                 for name in ("drug_importance", "target_importance"):
