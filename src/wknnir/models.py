@@ -79,46 +79,46 @@ def _decay_scores(idx, sims, labels, eta):
     serves ``predict_s2``/``predict_s3``, whose labels are recovered
     matrices; ``_recover_rows`` adds the same terms over the nonzeros only.
     """
-    decay = eta ** np.arange(idx.shape[1], dtype=float)
+    w = _rank_weights(sims, eta)
     num = np.zeros((idx.shape[0], labels.shape[1]))
     z = np.zeros(idx.shape[0])
     # num and z accumulate in the same rank order, so with eta <= 1 and
     # labels in [0, 1] num <= z holds exactly and no score exceeds 1.
     for a in range(idx.shape[1]):
-        num += (decay[a] * sims[:, a])[:, None] * labels[idx[:, a], :]
+        num += w[:, a][:, None] * labels[idx[:, a], :]
         z += sims[:, a]
-    return _normalized(num, z)
+    return _normalized(num, z[:, None])
+
+
+def _rank_weights(sims, eta, r=1.0):
+    """Neighbor weights ``sims[:, a] * eta^(a'/r - 1)`` for 1-based rank a'; r = 1 gives exponents 0, 1, ..., k-1."""
+    return sims * eta ** (np.arange(1, sims.shape[1] + 1, dtype=float) / r - 1.0)
 
 
 def _normalized(num, z):
-    """``num / z`` row by row, 0 where the normalizer is 0."""
-    z = z[:, None]
+    """``num / z`` with ``z`` broadcast against ``num``, 0 where the normalizer is 0."""
     out = np.zeros_like(num)
     np.divide(num, z, out=out, where=z > 0)
     return out
 
 
-def _pair_grid_scores(drug_profiles, target_profiles, labels, k, eta, r_drug, r_target):
-    """Double-ring scores over the k x k neighbor grid -> (U, V).
+def _pair_grid_scores(d_idx, d_sims, t_idx, t_sims, labels, eta, r_drug, r_target):
+    """Double-ring scores over the k x k grid of ranked drug and target neighbors -> (U, V).
 
     The decay exponent for drug rank i' and target rank j' (1-based) is
     i'/r_drug + j'/r_target - 2; the normalizer sums the raw similarity
     products and factorizes into the two per-side sums. That product can
     round below the numerator, so scores are clamped at 1.
     """
-    d_idx, d_sims = top_k(drug_profiles, k)
-    t_idx, t_sims = top_k(target_profiles, k)
-    wd = d_sims * eta ** (np.arange(1, d_idx.shape[1] + 1, dtype=float) / r_drug - 1.0)
-    wt = t_sims * eta ** (np.arange(1, t_idx.shape[1] + 1, dtype=float) / r_target - 1.0)
+    wd = _rank_weights(d_sims, eta, r_drug)
+    wt = _rank_weights(t_sims, eta, r_target)
     num = np.zeros((d_idx.shape[0], t_idx.shape[0]))
     for a in range(d_idx.shape[1]):
         rows = labels[d_idx[:, a], :]
         wda = wd[:, a][:, None]
         for b in range(t_idx.shape[1]):
             num += wda * wt[:, b][None, :] * rows[:, t_idx[:, b]]
-    z = d_sims.sum(axis=1)[:, None] * t_sims.sum(axis=1)[None, :]
-    out = np.zeros_like(num)
-    np.divide(num, z, out=out, where=z > 0)
+    out = _normalized(num, d_sims.sum(axis=1)[:, None] * t_sims.sum(axis=1)[None, :])
     return np.minimum(out, 1.0, out=out)
 
 
@@ -144,7 +144,7 @@ class _NeighborPredictor:
         """Score new drugs x new targets: (U, n), (V, m) -> (U, V)."""
         dp = _check_profiles(drug_profiles, self.dataset.n, "drug")
         tp = _check_profiles(target_profiles, self.dataset.m, "target")
-        return _pair_grid_scores(dp, tp, self.y_joint, self.k, self.eta, self.r_drug, self.r_target)
+        return _pair_grid_scores(*top_k(dp, self.k), *top_k(tp, self.k), self.y_joint, self.eta, self.r_drug, self.r_target)
 
     def predict(self, drug, target) -> float:
         """Score one drug-target pair.
@@ -187,7 +187,7 @@ def _recover_rows(sim, labels, owner, other, k, eta):
     values = labels[owner, other]
     start = np.searchsorted(owner, np.arange(n + 1))  # row h holds entries start[h]:start[h + 1]
     sizes = np.diff(start)
-    decay = eta ** np.arange(idx.shape[1], dtype=float)
+    w = _rank_weights(sims, eta)
     num = np.zeros((n, labels.shape[1]))
     z = np.zeros(n)
     for a in range(idx.shape[1]):
@@ -196,9 +196,9 @@ def _recover_rows(sim, labels, owner, other, k, eta):
         # Entry e of row h[u] goes to row u; each (u, column) once per rank.
         u = np.repeat(np.arange(n), count)
         e = np.arange(u.size) + np.repeat(start[h] - np.cumsum(count) + count, count)
-        num[u, other[e]] += (decay[a] * sims[:, a])[u] * values[e]
+        num[u, other[e]] += w[:, a][u] * values[e]
         z += sims[:, a]
-    return _normalized(num, z)
+    return _normalized(num, z[:, None])
 
 
 @dataclass(frozen=True, eq=False)

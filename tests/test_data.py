@@ -44,7 +44,8 @@ class TestDtiDataset:
 
     @pytest.mark.parametrize("order", ["ascending", "drawn", "empty"])
     def test_subset_equals_outer_index_gather(self, order):
-        # Fold training indices are ascending; ensemble samples arrive in draw order.
+        # Fold training indices and ensemble samples arrive ascending; the drawn
+        # case checks that subset keeps a caller's order.
         ds = random_dataset(30, 25, seed=5)
         rng = np.random.default_rng(6)
         drugs = rng.choice(30, 0 if order == "empty" else 17, replace=False)
