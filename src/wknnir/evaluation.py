@@ -142,15 +142,13 @@ def generate_folds(ds: DtiDataset, plan: CvPlan) -> list:
     Every setting pairs each drug part with each target part, so fold
     ``index`` is drug part x target part count + target part.
     """
-    all_drugs = np.arange(ds.n)
-    all_targets = np.arange(ds.m)
     out = []
     for rep in range(plan.repetitions):
         rng = np.random.default_rng(plan.seed + rep)
         drug_parts = _parts(rng, ds.n, plan.folds, plan.setting != "S3", "drug")
         target_parts = _parts(rng, ds.m, plan.folds, plan.setting != "S2", "target")
         for (fd, dtest), (ft, ttest) in product(enumerate(drug_parts), enumerate(target_parts)):
-            train = np.setdiff1d(all_drugs, dtest), np.setdiff1d(all_targets, ttest)
+            train = np.delete(np.arange(ds.n), dtest), np.delete(np.arange(ds.m), ttest)  # a keep-mask, no sort
             out.append(Fold(plan.setting, rep, fd * len(target_parts) + ft, *train, dtest, ttest))
     return out
 
@@ -260,7 +258,8 @@ def rank_novel(ds: DtiDataset, learner, setting: str, top_n: int, folds: int | N
     ``ValueError`` if any held-out score is not finite, as ``aupr`` does.
     """
     _check_count(top_n, "top_n")
-    plan = CvPlan(setting, folds if folds is not None else OUTER_FOLDS[setting], repetitions=1, seed=seed)
+    # CvPlan rejects an unknown setting before it reads the fold count.
+    plan = CvPlan(setting, folds if folds is not None else OUTER_FOLDS.get(setting), repetitions=1, seed=seed)
     scores = np.full((ds.n, ds.m), np.nan)
     for fold in generate_folds(ds, plan):
         values, block = _fold_scores(ds, fold, learner)

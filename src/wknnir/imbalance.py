@@ -56,16 +56,20 @@ def imbalance_report(ds: DtiDataset, k: int) -> ImbalanceReport:
     _check_k(k, ds.m - 1, "target")
     d_idx, _ = neighbor_table(ds.drug_sim, k)
     t_idx, _ = neighbor_table(ds.target_sim, k)
-    # drug_pair[i, j] is the fraction of drug i's k nearest drugs whose
-    # label for target j differs from Y[i, j]; target_pair the same over
-    # target j's k nearest targets. Both are read only through their
-    # product with Y, so they are left 0 away from interacting pairs.
+    # drug_pair[i, j] is Y[i, j] times the fraction of drug i's k nearest drugs
+    # whose label for target j differs from Y[i, j]; target_pair the same over
+    # target j's k nearest targets. Elsewhere it is left +0.0: every sum below
+    # starts from +0.0, so a -0.0 there would not change it. Labels are read
+    # by flat index, k rows of pairs; a count is exact, so count / k is the mean.
     I, J = ds._pairs
-    y = Y[I, J][:, None]
+    flat, m = Y.ravel(), ds.m
+    cells = I * m + J
+    y = flat[cells]
+    drug_diff = (flat.take(d_idx.T.take(I, axis=1) * m + J) != y).sum(axis=0)
+    target_diff = (flat.take(t_idx.T.take(J, axis=1) + I * m) != y).sum(axis=0)
     drug_pair, target_pair = np.zeros(Y.shape), np.zeros(Y.shape)
-    drug_pair[I, J] = (Y[d_idx[I], J[:, None]] != y).mean(axis=1)
-    target_pair[I, J] = (Y[I[:, None], t_idx[J]] != y).mean(axis=1)
-    drug_pair, target_pair = drug_pair * Y, target_pair * Y
+    drug_pair.ravel()[cells] = drug_diff / k * y
+    target_pair.ravel()[cells] = target_diff / k * y
     return ImbalanceReport(
         li_drug=float(drug_pair.sum() / total),
         li_target=float(target_pair.sum() / total),

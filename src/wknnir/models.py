@@ -97,6 +97,8 @@ def _rank_weights(sims, eta, r=1.0):
 
 def _normalized(num, z):
     """``num / z`` with ``z`` broadcast against ``num``, 0 where the normalizer is 0."""
+    if np.all(z > 0):
+        return num / z
     out = np.zeros_like(num)
     np.divide(num, z, out=out, where=z > 0)
     return out
@@ -164,41 +166,44 @@ class _NeighborPredictor:
         return float(self.predict_s4(dp[None, :], tp[None, :])[0, 0])
 
 
-def _recover_rows(sim, labels, owner, other, k, eta):
+def _recover_rows(sim, labels, owner, other, k, eta, transpose=False):
     """Rebuild each row of ``labels`` from its k nearest rows under ``sim``.
 
     Row i becomes sum_h eta^(h'-1) * sim[i, h] * labels[h, :] / sum_h sim[i, h]
     over the self-excluded neighbors h of i. A zero normalizer gives a
     zero row and a lone entity keeps its row; either way the max with Y
-    in ``fit_wknnir`` leaves the original.
+    in ``fit_wknnir`` leaves the original. With ``transpose`` the result
+    is written as ``labels.T``, C-ordered.
 
     ``(owner, other)`` are the nonzero entries of ``labels``, sorted by
     owner row, and only they are visited. A zero label adds a signed zero
-    to the dense sum, which starts at +0.0 and so never changes by it:
-    with ranks added in order, the result is bit-identical to
-    ``_decay_scores`` on the dense labels. That holds for finite
-    similarities; ``load_dataset`` rejects others, so only a hand-built
-    ``DtiDataset`` could differ (inf * 0.0 is NaN in the dense sum).
+    to the dense sum, which starts at +0.0 and so never changes by it.
+    One ``np.bincount`` adds every term: it adds in input order from +0.0,
+    and the terms come rank by rank, each cell at most once per rank, so
+    each cell gets the same additions in the same order as ``_decay_scores``
+    on the dense labels, and the result is bit-identical. That holds for
+    finite similarities; ``load_dataset`` rejects others, so only a
+    hand-built ``DtiDataset`` could differ (inf * 0.0 is NaN in the dense sum).
     """
-    n = sim.shape[0]
+    n, width = labels.shape
     if n < 2:
-        return np.array(labels, dtype=float)
+        return np.array(labels.T if transpose else labels, dtype=float, order="C")
     idx, sims = neighbor_table(sim, k)
-    values = labels[owner, other]
     start = np.searchsorted(owner, np.arange(n + 1))  # row h holds entries start[h]:start[h + 1]
-    sizes = np.diff(start)
-    w = _rank_weights(sims, eta)
-    num = np.zeros((n, labels.shape[1]))
+    h = idx.T.ravel()  # rank-major: every row's first neighbor, then every row's second, ...
+    count = np.diff(start)[h]
+    # Slot (a, u) holds row h = idx[u, a]: each entry e of row h adds one term to row u.
+    e = np.arange(count.sum()) + np.repeat(start[h] - np.cumsum(count) + count, count)
+    u = np.repeat(np.tile(np.arange(n), idx.shape[1]), count)
+    cells = other[e] * n + u if transpose else u * width + other[e]
+    terms = np.repeat(_rank_weights(sims, eta).T.ravel(), count) * labels[owner, other][e]
+    num = np.bincount(cells, terms, minlength=n * width).astype(float, copy=False)  # int64 when there are no terms
     z = np.zeros(n)
     for a in range(idx.shape[1]):
-        h = idx[:, a]
-        count = sizes[h]
-        # Entry e of row h[u] goes to row u; each (u, column) once per rank.
-        u = np.repeat(np.arange(n), count)
-        e = np.arange(u.size) + np.repeat(start[h] - np.cumsum(count) + count, count)
-        num[u, other[e]] += w[:, a][u] * values[e]
         z += sims[:, a]
-    return _normalized(num, z[:, None])
+    if transpose:
+        return _normalized(num.reshape(width, n), z)
+    return _normalized(num.reshape(n, width), z[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +257,7 @@ def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
     rows, cols = ds._pairs
     by_col = np.argsort(cols, kind="stable")
     y_drug_raw = _recover_rows(ds.drug_sim, Y, rows, cols, k, eta)
-    y_target_raw = _recover_rows(ds.target_sim, Y.T, cols[by_col], rows[by_col], k, eta).T
+    y_target_raw = _recover_rows(ds.target_sim, Y.T, cols[by_col], rows[by_col], k, eta, transpose=True)
     report = _clamped_report(ds, k)
     # Without imbalance evidence both sides count as balanced.
     li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)
@@ -261,9 +266,9 @@ def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
         ds,
         int(k),
         float(eta),
-        y_drug=np.maximum(y_drug_raw, Y),
-        y_target=np.maximum(y_target_raw, Y),
-        y_joint=np.maximum(y_joint_raw, Y),
+        y_drug=np.maximum(y_drug_raw, Y, out=y_drug_raw),
+        y_target=np.maximum(y_target_raw, Y, out=y_target_raw),
+        y_joint=np.maximum(y_joint_raw, Y, out=y_joint_raw),
         li_drug=li_drug,
         li_target=li_target,
     )

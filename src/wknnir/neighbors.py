@@ -6,9 +6,10 @@ and NaN last: the picks are exactly the first k columns of a stable
 ``argsort`` of the negated rows.
 
 Ranking partitions, then orders: ``np.partition`` finds each row's k-th
-value, and one stable sort orders only the entries at or above it (every
-entry of a row with fewer than k non-NaN values), which are a prefix of
-the row's full stable order, whatever the ties.
+value, and one stable sort orders only the entries at or above it, which
+are a prefix of the row's full stable order, whatever the ties. Only a
+row whose k-th value is NaN (fewer than k non-NaN values) widens that set
+to every entry of the row, and only then is the NaN mask applied at all.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k most similar columns of every row, ties to the lower index.
 
     Returns ``(indices, similarities)``, each of shape (rows, k') with
-    k' = min(k, columns), row i holding its picks best first.
+    k' = min(k, columns), row i holding its picks best first. Only a row
+    whose k-th value is NaN widens its candidates to all its entries.
     """
     rows, cols = similarities.shape
     k = min(k, cols)
@@ -39,16 +41,19 @@ def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     neg = -similarities
     neg.partition(k - 1, axis=1)  # in place: neg is only read for its k-th column
     kth = neg[:, [k - 1]]
-    flat = np.flatnonzero((similarities >= -kth) | np.isnan(kth))  # candidates, row by row in column order
-    keys = -similarities.ravel()[flat]
+    candidates = similarities >= -kth
+    if np.isnan(kth).any():  # only then is the NaN mask applied
+        candidates |= np.isnan(kth)
+    flat = np.flatnonzero(candidates)  # row by row, in column order
+    values = similarities.ravel()
+    keys = -values[flat]
     if flat.size == rows * k:  # no row ties at its k-th value
         picks = np.take_along_axis(flat.reshape(rows, k), keys.reshape(rows, k).argsort(axis=1, kind="stable"), axis=1)
     else:
         row = flat // cols
         ranked = flat[np.lexsort((keys, row))]  # by row, then value, then column
         picks = ranked[np.searchsorted(row, np.arange(rows))[:, None] + np.arange(k)]
-    order = picks % cols
-    return order, np.take_along_axis(similarities, order, axis=1)
+    return picks % cols, values[picks]
 
 
 def neighbor_table(similarity: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -605,6 +605,12 @@ class TestRankNovel:
             with pytest.raises(ValueError, match="top_n"):
                 rank_novel(f1, fixed_learner(fit_wknn, 1, 0.8), "S2", top_n, folds=3)
 
+    @pytest.mark.parametrize("folds", [None, 3])
+    def test_rejects_unknown_setting(self, f1, folds):
+        # With no fold count given, the default count is looked up by setting.
+        with pytest.raises(ValueError, match="unknown setting 'S5'"):
+            rank_novel(f1, fixed_learner(fit_wknn, 1, 0.8), "S5", 3, folds=folds)
+
 
 class TestRankNovelFindsHiddenInteractions:
     """The paper's claim that held-out ranking surfaces unreported interactions.

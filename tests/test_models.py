@@ -13,7 +13,7 @@ from wknnir import (
     subset,
 )
 from wknnir.imbalance import _clamped_report
-from wknnir.models import _decay_scores
+from wknnir.models import _decay_scores, _recover_rows
 from wknnir.neighbors import neighbor_table
 from conftest import load_datagen, make_dataset, random_dataset, varied_dataset
 
@@ -225,6 +225,20 @@ class TestRecovery:
             rec = fit_wknnir(ds, k, eta)
             for got, want in zip((rec.y_drug, rec.y_target, rec.y_joint), dense_recovery(ds, k, eta)):
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,m", [(1, 5), (6, 1), (1, 1), (7, 6), (12, 9)])
+    def test_recoveries_c_ordered(self, n, m):
+        # The target side is written drugs x targets, not as a transposed view,
+        # so the max with Y and the joint blend read C-ordered operands.
+        ds = random_dataset(n, m, seed=n * 10 + m)
+        Y = ds.interactions
+        owner, other = np.nonzero(Y.T != 0)
+        direct = _recover_rows(ds.target_sim, Y.T, owner, other, 3, 0.7, transpose=True)
+        assert direct.flags.c_contiguous
+        assert direct.tobytes() == _recover_rows(ds.target_sim, Y.T, owner, other, 3, 0.7).T.tobytes()
+        rec = fit_wknnir(ds, 3, 0.7)
+        for mat in (rec.y_drug, rec.y_target, rec.y_joint):
+            assert mat.flags.c_contiguous
 
     def test_dominance_and_known_ones_preserved(self):
         for seed in range(20):
