@@ -216,6 +216,13 @@ def sample_without_replacement(probs, count: int, rng) -> np.ndarray:
     return out
 
 
+def _check_ensemble_size(q: int, R: float):
+    """Reject an ensemble size q that is not a count >= 1, or a ratio R outside (0, 1]."""
+    _check_count(q, "q")
+    if not 0 < R <= 1:
+        raise ValueError(f"R must be in (0, 1], got {R!r}")
+
+
 def _subset_size(total: int, ratio: float) -> int:
     return min(total, max(1, int(round(total * ratio))))
 
@@ -231,9 +238,7 @@ def train_ensemble(
     breaks ties by member-local index, so a member's predictions then depend
     only on the sets it drew, not on the order of the draw.
     """
-    _check_count(q, "q")
-    if not 0 < R <= 1:
-        raise ValueError(f"R must be in (0, 1], got {R!r}")
+    _check_ensemble_size(q, R)
     p_drug, p_target = sampling_probabilities(ds, strategy)
     n_draw = _subset_size(ds.n, R)
     m_draw = _subset_size(ds.m, R)

@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .data import DtiDataset, subset
-from .ensemble import SamplingStrategy, train_ensemble
+from .ensemble import SamplingStrategy, _check_ensemble_size, train_ensemble
 from .models import _check_params, fit_wknn, fit_wknnir
 from .neighbors import _check_count
 
@@ -289,8 +289,9 @@ def base_factory(method: str):
 
 
 def ensemble_factory(method: str, q: int, ratio: float, strategy: SamplingStrategy, seed: int = 0):
-    """Factory building a q-member ensemble of the given base method."""
+    """Factory building a q-member ensemble of the given base method; q and ratio are checked here."""
     base = base_factory(method)
+    _check_ensemble_size(q, ratio)
 
     def factory(ds, k, eta):
         return train_ensemble(ds, lambda sub: base(sub, k, eta), q, ratio, strategy, seed)
@@ -311,9 +312,9 @@ def tuned_learner(factory, grid: ParamGrid, setting: str, inner_folds: int, seed
     then fitted with the chosen parameters.
     """
     build = final_factory if final_factory is not None else factory
+    plan = CvPlan(setting, inner_folds, repetitions=1, seed=seed)
 
     def learner(train):
-        plan = CvPlan(setting, inner_folds, repetitions=1, seed=seed)
         best = tune_hyperparameters(train, grid, plan, inner_folds, factory)
         return build(train, best["k"], best["eta"])
 

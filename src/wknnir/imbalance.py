@@ -36,9 +36,11 @@ class ImbalanceReport:
     target_importance: np.ndarray  # (m,)
 
 
-def _check_k(k: int, limit: int, side: str):
-    if not 1 <= k <= limit:
-        raise ValueError(f"k={k} out of range [1, {limit}] on the {side} side")
+def _check_k(k: int, count: int, side: str):
+    if count < 2:
+        raise ValueError(f"local imbalance needs at least 2 {side}s, got {count}")
+    if not 1 <= k <= count - 1:
+        raise ValueError(f"k={k} out of range [1, {count - 1}] on the {side} side")
 
 
 def imbalance_report(ds: DtiDataset, k: int) -> ImbalanceReport:
@@ -52,8 +54,8 @@ def imbalance_report(ds: DtiDataset, k: int) -> ImbalanceReport:
     if total == 0:
         raise ValueError("no interactions; local imbalance is undefined")
     _check_count(k, "k")
-    _check_k(k, ds.n - 1, "drug")
-    _check_k(k, ds.m - 1, "target")
+    _check_k(k, ds.n, "drug")
+    _check_k(k, ds.m, "target")
     d_idx, _ = neighbor_table(ds.drug_sim, k)
     t_idx, _ = neighbor_table(ds.target_sim, k)
     # drug_pair[i, j] is Y[i, j] times the fraction of drug i's k nearest drugs

@@ -13,6 +13,8 @@ is new: S2 (new drug, training target), S3 (training drug, new target),
 S4 (both new). A query with two training indices is the transductive
 setting and is rejected. New entities are described by a similarity
 profile against the training entities of their side.
+
+Fits assume a dataset that ``validate_dataset`` accepts.
 """
 
 from __future__ import annotations
@@ -96,12 +98,8 @@ def _rank_weights(sims, eta, r=1.0):
 
 
 def _normalized(num, z):
-    """``num / z`` with ``z`` broadcast against ``num``, 0 where the normalizer is 0."""
-    if np.all(z > 0):
-        return num / z
-    out = np.zeros_like(num)
-    np.divide(num, z, out=out, where=z > 0)
-    return out
+    """``num / z`` into ``num``, with ``z`` broadcast against it; 0 where the normalizer is 0."""
+    return np.divide(num, np.where(z > 0, z, 1.0), out=num)  # where z is 0 so is every weight, and num is +0.0
 
 
 def _pair_grid_scores(d_idx, d_sims, t_idx, t_sims, labels, eta, r_drug, r_target):
@@ -166,14 +164,14 @@ class _NeighborPredictor:
         return float(self.predict_s4(dp[None, :], tp[None, :])[0, 0])
 
 
-def _recover_rows(sim, labels, owner, other, k, eta, transpose=False):
-    """Rebuild each row of ``labels`` from its k nearest rows under ``sim``.
+def _recover_rows(idx, sims, labels, owner, other, eta, transpose=False):
+    """Rebuild each row of ``labels`` from the rows of its ranked neighbors.
 
-    Row i becomes sum_h eta^(h'-1) * sim[i, h] * labels[h, :] / sum_h sim[i, h]
-    over the self-excluded neighbors h of i. A zero normalizer gives a
-    zero row and a lone entity keeps its row; either way the max with Y
-    in ``fit_wknnir`` leaves the original. With ``transpose`` the result
-    is written as ``labels.T``, C-ordered.
+    Row i becomes sum_a eta^a * sims[i, a] * labels[idx[i, a], :] / sum_a sims[i, a]
+    over ranks a, for ``(idx, sims)`` as ``neighbor_table`` gives them. A row
+    with no neighbor similarity (no neighbors, or all of similarity 0)
+    recovers to zero; the max with Y in ``fit_wknnir`` keeps the original.
+    With ``transpose`` the result is written as ``labels.T``, C-ordered.
 
     ``(owner, other)`` are the nonzero entries of ``labels``, sorted by
     owner row, and only they are visited. A zero label adds a signed zero
@@ -186,9 +184,6 @@ def _recover_rows(sim, labels, owner, other, k, eta, transpose=False):
     hand-built ``DtiDataset`` could differ (inf * 0.0 is NaN in the dense sum).
     """
     n, width = labels.shape
-    if n < 2:
-        return np.array(labels.T if transpose else labels, dtype=float, order="C")
-    idx, sims = neighbor_table(sim, k)
     start = np.searchsorted(owner, np.arange(n + 1))  # row h holds entries start[h]:start[h + 1]
     h = idx.T.ravel()  # rank-major: every row's first neighbor, then every row's second, ...
     count = np.diff(start)[h]
@@ -256,8 +251,8 @@ def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
     Y = ds.interactions
     rows, cols = ds._pairs
     by_col = np.argsort(cols, kind="stable")
-    y_drug_raw = _recover_rows(ds.drug_sim, Y, rows, cols, k, eta)
-    y_target_raw = _recover_rows(ds.target_sim, Y.T, cols[by_col], rows[by_col], k, eta, transpose=True)
+    y_drug_raw = _recover_rows(*neighbor_table(ds.drug_sim, k), Y, rows, cols, eta)
+    y_target_raw = _recover_rows(*neighbor_table(ds.target_sim, k), Y.T, cols[by_col], rows[by_col], eta, transpose=True)
     report = _clamped_report(ds, k)
     # Without imbalance evidence both sides count as balanced.
     li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)

@@ -10,6 +10,7 @@ value, and one stable sort orders only the entries at or above it, which
 are a prefix of the row's full stable order, whatever the ties. Only a
 row whose k-th value is NaN (fewer than k non-NaN values) widens that set
 to every entry of the row, and only then is the NaN mask applied at all.
+Self is never a neighbor: a side of 0 or 1 entities gets an empty table.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def neighbor_table(similarity: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Self-excluded k nearest neighbors for every row of a square matrix.
 
-    Returns ``(indices, similarities)``, each of shape (n, min(k, n - 1)),
+    Returns ``(indices, similarities)``, each (n, max(0, min(k, n - 1))),
     row i holding the neighbors of entity i in decreasing similarity.
     Entity i itself is never its own neighbor.
     """
@@ -68,12 +69,10 @@ def neighbor_table(similarity: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
     n = sim.shape[0]
     if sim.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {sim.shape}")
-    if n < 2:
-        raise ValueError(f"need at least 2 entities, got n={n}")
-    k = min(k, n - 1)
+    k = max(min(k, n - 1), 0)
     # One spare pick per row: drop entity i where it was picked, the
     # spare everywhere else.
     indices, sims = top_k(sim, k + 1)
     keep = indices != np.arange(n)[:, None]
-    keep[keep.all(axis=1), -1] = False
+    keep[keep.all(axis=1), k:] = False
     return indices[keep].reshape(n, k), sims[keep].reshape(n, k)

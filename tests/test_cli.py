@@ -21,6 +21,7 @@ from wknnir import (
     ParamGrid,
     write_matrix,
 )
+from wknnir import evaluation
 from wknnir.cli import DATA_DIR_ENV, build_parser, main
 from conftest import load_datagen, make_dataset, random_dataset
 
@@ -202,6 +203,22 @@ class TestCv:
         ])
         assert code == 1
         assert capsys.readouterr().err == "error: need an integer threads >= 1, got threads=0\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--q", "0"], "need an integer q >= 1, got q=0"),
+        (["--ratio", "1.5"], "R must be in (0, 1], got 1.5"),
+    ])
+    def test_bad_ensemble_fails_before_tuning(self, data_files, capsys, monkeypatch, flags, message):
+        _, paths = data_files
+        inner_runs = []
+        monkeypatch.setattr(evaluation, "run_cv", lambda *a, **kw: inner_runs.append(a) or run_cv(*a, **kw))
+        code = main([
+            "cv", *dataset_args(paths), "--setting", "S2", "--method", "wknnir", "--ensemble", "els",
+            *flags, "--grid-k", "1,3", "--grid-eta", "0.5,1.0", "--inner-folds", "2", "--folds", "3",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert inner_runs == []
 
     def test_unknown_setting_is_a_usage_error(self, data_files):
         _, paths = data_files

@@ -489,6 +489,17 @@ class TestLearnerFactories:
             assert (mem.model.li_drug, mem.model.li_target) == (0.0, 0.0)
             assert (mem.model.k, mem.model.eta) == (3, 0.4)
 
+    @pytest.mark.parametrize("q,ratio,message", [
+        (0, 0.9, r"need an integer q >= 1, got q=0"),
+        (2.0, 0.9, r"need an integer q >= 1, got q=2.0"),
+        (2, 0.0, r"R must be in \(0, 1\], got 0.0"),
+        (2, 1.5, r"R must be in \(0, 1\], got 1.5"),
+        (2, float("nan"), r"R must be in \(0, 1\], got nan"),
+    ])
+    def test_ensemble_factory_rejects_bad_size_when_built(self, q, ratio, message):
+        with pytest.raises(ValueError, match=message):
+            ensemble_factory("wknn", q=q, ratio=ratio, strategy=SamplingStrategy("uniform"))
+
     def test_ensemble_factory_builds_members_with_given_params(self):
         ds = random_dataset(9, 7, seed=24)
         ens = ensemble_factory("wknnir", q=3, ratio=0.8, strategy=SamplingStrategy("global"), seed=5)(ds, 2, 0.9)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wknnir import imbalance_report
+from wknnir import imbalance_report, subset
 from wknnir.neighbors import neighbor_table
 from conftest import load_datagen, make_dataset, random_dataset, varied_dataset
 
@@ -115,6 +115,15 @@ class TestPairLocalImbalance:
             imbalance_report(f1, 3)
         with pytest.raises(ValueError, match="out of range .* target side"):
             imbalance_report(f1, 2)
+
+    @pytest.mark.parametrize("n,m,message", [
+        (1, 4, "local imbalance needs at least 2 drugs, got 1"),
+        (4, 1, "local imbalance needs at least 2 targets, got 1"),
+    ])
+    def test_one_entity_side_names_the_count(self, n, m, message):
+        ds = subset(random_dataset(4, 4, seed=2, density=1.0), np.arange(n), np.arange(m))
+        with pytest.raises(ValueError, match=message):
+            imbalance_report(ds, 1)
 
     @pytest.mark.parametrize("k", [1.5, True])
     def test_k_not_an_integer(self, f1, k):

@@ -12,9 +12,10 @@ from wknnir import (
     run_cv,
     subset,
 )
+from wknnir import models
 from wknnir.imbalance import _clamped_report
-from wknnir.models import _decay_scores, _recover_rows
-from wknnir.neighbors import neighbor_table
+from wknnir.models import _decay_scores, _normalized, _pair_grid_scores, _recover_rows
+from wknnir.neighbors import neighbor_table, top_k
 from conftest import load_datagen, make_dataset, random_dataset, varied_dataset
 
 
@@ -55,12 +56,14 @@ def oracle_recover_rows(sim, Y, k, eta):
     return out
 
 
-def dense_recovery(ds, k, eta):
+def dense_recovery(ds, k, eta, lone_keeps_labels=False):
     """``fit_wknnir``'s recovery as first written: every label, zero or not, goes
-    through the dense kernel, the target side on ``Y.T``."""
+    through the dense kernel, the target side on ``Y.T``. With
+    ``lone_keeps_labels`` a side of one entity keeps its labels instead of
+    recovering to zero from its empty neighborhood."""
 
     def rows(sim, labels):
-        if sim.shape[0] < 2:
+        if lone_keeps_labels and sim.shape[0] < 2:
             return np.array(labels, dtype=float)
         return _decay_scores(*neighbor_table(sim, k), labels, eta)
 
@@ -71,6 +74,50 @@ def dense_recovery(ds, k, eta):
     li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)
     y_joint_raw = ((1.0 - li_drug) * y_drug_raw + (1.0 - li_target) * y_target_raw) / 2.0
     return np.maximum(y_drug_raw, Y), np.maximum(y_target_raw, Y), np.maximum(y_joint_raw, Y)
+
+
+def guarded_divide(num, z):
+    """Zero-safe divide by mask, the reference for ``_normalized``: ``num / z`` where z > 0, +0.0 elsewhere."""
+    out = np.zeros_like(num)
+    np.divide(num, z, out=out, where=z > 0)
+    return out
+
+
+def zero_heavy(rng, shape):
+    """Values in [0, 1) with all-zero rows, negative zeros and rows so small that products underflow to 0."""
+    a = rng.random(shape)
+    a[rng.random(shape) < 0.3] = -0.0
+    a[rng.random(shape[0]) < 0.3] = 0.0
+    a[rng.random(shape[0]) < 0.2] *= 1e-170
+    return a
+
+
+class TestNormalized:
+    def test_bit_identical_to_guarded_divide(self, monkeypatch):
+        # Where a normalizer is 0 every weight is 0, so the numerator is the
+        # +0.0 its sum started from and dividing it by 1 gives the same bytes.
+        zero_normalizers = 0
+
+        def checked(num, z):
+            nonlocal zero_normalizers
+            zero_normalizers += int(np.sum(z <= 0))
+            want = guarded_divide(num, z)  # first: _normalized divides num in place
+            got = _normalized(num, z)
+            assert got.tobytes() == want.tobytes()
+            return got
+
+        monkeypatch.setattr(models, "_normalized", checked)
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            u, v, n, m = (int(x) for x in rng.integers(1, 9, size=4))
+            k, eta = int(rng.integers(1, 6)), float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+            labels = zero_heavy(rng, (n, m))
+            d_table, t_table = top_k(zero_heavy(rng, (u, n)), k), top_k(zero_heavy(rng, (v, m)), k)
+            _decay_scores(*d_table, labels, eta)
+            _decay_scores(*t_table, labels.T, eta)
+            _pair_grid_scores(*d_table, *t_table, labels, eta, rng.random(), 1.0)
+            fit_wknnir(varied_dataset(rng), k, eta)
+        assert zero_normalizers > 1000
 
 
 class TestFitValidation:
@@ -233,12 +280,41 @@ class TestRecovery:
         ds = random_dataset(n, m, seed=n * 10 + m)
         Y = ds.interactions
         owner, other = np.nonzero(Y.T != 0)
-        direct = _recover_rows(ds.target_sim, Y.T, owner, other, 3, 0.7, transpose=True)
+        table = neighbor_table(ds.target_sim, 3)
+        direct = _recover_rows(*table, Y.T, owner, other, 0.7, transpose=True)
         assert direct.flags.c_contiguous
-        assert direct.tobytes() == _recover_rows(ds.target_sim, Y.T, owner, other, 3, 0.7).T.tobytes()
+        assert direct.tobytes() == _recover_rows(*table, Y.T, owner, other, 0.7).T.tobytes()
         rec = fit_wknnir(ds, 3, 0.7)
         for mat in (rec.y_drug, rec.y_target, rec.y_joint):
             assert mat.flags.c_contiguous
+
+    def test_lone_entity_rules_agree_on_binary_labels(self):
+        # Recovering a one-entity side to zero or keeping its labels gives the
+        # same bytes after the max with binary Y (negative zeros included), so
+        # the fits and every score match a model built under either rule.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            ds = random_dataset(n, m, seed=int(rng.integers(2**32)), density=rng.random())
+            Y = ds.interactions.copy()
+            if rng.random() < 0.5:
+                Y[Y == 0] = -0.0
+            ds = make_dataset(ds.drug_sim, ds.target_sim, Y)
+            k, eta = int(rng.integers(1, 5)), float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+            got = fit_wknnir(ds, k, eta)
+            report = _clamped_report(ds, k)
+            li = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)
+            want = WkNNIRModel(ds, k, eta, *dense_recovery(ds, k, eta, lone_keeps_labels=True), *li)
+            for name in ("y_drug", "y_target", "y_joint"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            dp, tp = rng.random((3, n)), rng.random((2, m))
+            dp[0] = 0.0
+
+            def scores(model):
+                return model.predict_s2(dp), model.predict_s3(tp), model.predict_s4(dp, tp)
+
+            for a, b in zip(scores(got), scores(want)):
+                assert a.tobytes() == b.tobytes()
 
     def test_dominance_and_known_ones_preserved(self):
         for seed in range(20):

@@ -97,8 +97,11 @@ class TestKnnOracle:
         np.testing.assert_array_equal(idx, [[0, 1]])
 
     def test_nothing_selectable(self):
-        with pytest.raises(ValueError, match="at least 2 entities"):
-            neighbor_table(np.ones((1, 1)), 1)
+        # An entity is never its own neighbor: a side of 0 or 1 has an empty neighborhood.
+        for n in (0, 1):
+            idx, sims = neighbor_table(np.ones((n, n)), 3)
+            assert idx.shape == sims.shape == (n, 0)
+            assert idx.dtype == np.intp and sims.dtype == float
 
     def test_k_below_one(self):
         with pytest.raises(ValueError, match="k >= 1"):
