@@ -48,11 +48,14 @@ class Finding(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DtiDataset:
-    """Immutable bundle of similarity and interaction matrices.
+    """Immutable, valid bundle of similarity and interaction matrices.
 
     Rows of ``interactions`` are drugs, columns are targets. ``drug_sim``
-    is n x n, ``target_sim`` is m x m. Arrays are copied C-ordered and
-    marked read-only, so a dataset can be shared across threads.
+    is n x n, ``target_sim`` is m x m. Arrays are copied C-ordered, -0.0
+    made +0.0, and marked read-only, so a dataset can be shared across
+    threads. Building one raises :class:`DatasetError` on the errors that
+    :func:`validate_dataset` reports and warns on asymmetry; only
+    :func:`subset` skips that check.
     """
 
     drug_ids: tuple[str, ...]
@@ -66,8 +69,14 @@ class DtiDataset:
         object.__setattr__(self, "target_ids", tuple(str(x) for x in self.target_ids))
         for name in ("drug_sim", "target_sim", "interactions"):
             arr = np.array(getattr(self, name), dtype=float, order="C")
+            arr += 0.0  # -0.0 becomes +0.0
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        findings = validate_dataset(self)
+        if errors := [f.message for f in findings if f.severity == "error"]:
+            raise DatasetError("; ".join(errors))
+        for f in findings:
+            warnings.warn(f.message, stacklevel=3)  # at the caller of DtiDataset(...)
 
     @property
     def n(self) -> int:
@@ -113,9 +122,10 @@ def _check_similarity(sim: np.ndarray, label: str, size: int, findings: list[Fin
 def validate_dataset(ds: DtiDataset) -> list[Finding]:
     """Check every dataset invariant; returns findings instead of raising.
 
-    Errors cover shape mismatches, duplicate IDs, non-binary interactions,
-    and out-of-range or non-unit-diagonal similarities. Asymmetry beyond
-    1e-6 is only a warning.
+    Errors cover empty sides, shape mismatches, duplicate IDs, non-binary
+    interactions, and out-of-range or non-unit-diagonal similarities.
+    Asymmetry beyond 1e-6 is only a warning. ``DtiDataset(...)`` raises on
+    the errors, so a dataset built that way reports only warnings here.
     """
     findings: list[Finding] = []
     n, m = ds.n, ds.m
@@ -209,14 +219,14 @@ def load_dataset(
     target_sim_path,
     orientation: str = "drug-rows",
 ) -> DtiDataset:
-    """Load and validate a dataset from three TSV files.
+    """Load a dataset from three TSV files.
 
     ``orientation`` names what the interaction file's rows are. With
     ``"target-rows"`` the matrix is transposed on load, so the returned
     dataset always has drug rows. Similarity files may list entities in
-    any order; they are matched by ID and reordered to the interaction
-    file's order. Any error-level finding raises :class:`DatasetError`;
-    warnings are emitted via :mod:`warnings`.
+    any order; they are matched by the interaction file's unique IDs and
+    reordered to its order. A file that does not parse raises
+    :class:`DatasetError`; building the dataset checks the matrices.
     """
     if orientation not in ORIENTATIONS:
         raise DatasetError(f"unknown orientation {orientation!r}; expected one of {ORIENTATIONS}")
@@ -230,18 +240,9 @@ def load_dataset(
         raise DatasetError(f"{interaction_path}: duplicate drug IDs")
     if len(set(target_ids)) != len(target_ids):
         raise DatasetError(f"{interaction_path}: duplicate target IDs")
-    if not ((inter == 0.0) | (inter == 1.0)).all():
-        raise DatasetError(f"{interaction_path}: non-binary interaction values")
     drug_sim = _load_similarity(Path(drug_sim_path), drug_ids, "drug")
     target_sim = _load_similarity(Path(target_sim_path), target_ids, "target")
-    ds = DtiDataset(drug_ids, target_ids, drug_sim, target_sim, inter)
-    findings = validate_dataset(ds)
-    errors = [f for f in findings if f.severity == "error"]
-    if errors:
-        raise DatasetError("; ".join(f.message for f in errors))
-    for f in findings:
-        warnings.warn(f.message, stacklevel=2)
-    return ds
+    return DtiDataset(drug_ids, target_ids, drug_sim, target_sim, inter)
 
 
 def _format_values(values: np.ndarray) -> np.ndarray:
@@ -304,7 +305,12 @@ def _index(idx, size: int, side: str) -> np.ndarray:
 
 
 def subset(ds: DtiDataset, drug_idx, target_idx) -> DtiDataset:
-    """Slice a dataset to the given distinct drug/target indices, preserving order; a side kept whole is shared, not copied."""
+    """Slice a dataset to the given distinct drug/target indices, preserving order; a side kept whole is shared, not copied.
+
+    It skips the check of ``DtiDataset(...)``: principal submatrices at
+    distinct indices keep every checked property. An empty index set gives
+    an empty side, which that check would refuse.
+    """
     drug_idx = _index(drug_idx, ds.n, "drug")
     target_idx = _index(target_idx, ds.m, "target")
     # Rows, then columns: two one-axis gathers are cheaper than one np.ix_ gather.

@@ -58,20 +58,18 @@ def imbalance_report(ds: DtiDataset, k: int) -> ImbalanceReport:
     _check_k(k, ds.m, "target")
     d_idx, _ = neighbor_table(ds.drug_sim, k)
     t_idx, _ = neighbor_table(ds.target_sim, k)
-    # drug_pair[i, j] is Y[i, j] times the fraction of drug i's k nearest drugs
-    # whose label for target j differs from Y[i, j]; target_pair the same over
-    # target j's k nearest targets. Elsewhere it is left +0.0: every sum below
-    # starts from +0.0, so a -0.0 there would not change it. Labels are read
-    # by flat index, k rows of pairs; a count is exact, so count / k is the mean.
+    # At an interacting pair (i, j), drug_pair[i, j] is the fraction of drug
+    # i's k nearest drugs that do not interact with target j; target_pair the
+    # same over target j's k nearest targets. Elsewhere both are 0. Labels are
+    # read by flat index, k rows of pairs; a count is exact, so count / k is the mean.
     I, J = ds._pairs
     flat, m = Y.ravel(), ds.m
     cells = I * m + J
-    y = flat[cells]
-    drug_diff = (flat.take(d_idx.T.take(I, axis=1) * m + J) != y).sum(axis=0)
-    target_diff = (flat.take(t_idx.T.take(J, axis=1) + I * m) != y).sum(axis=0)
+    drug_diff = (flat.take(d_idx.T.take(I, axis=1) * m + J) == 0.0).sum(axis=0)
+    target_diff = (flat.take(t_idx.T.take(J, axis=1) + I * m) == 0.0).sum(axis=0)
     drug_pair, target_pair = np.zeros(Y.shape), np.zeros(Y.shape)
-    drug_pair.ravel()[cells] = drug_diff / k * y
-    target_pair.ravel()[cells] = target_diff / k * y
+    drug_pair.ravel()[cells] = drug_diff / k
+    target_pair.ravel()[cells] = target_diff / k
     return ImbalanceReport(
         li_drug=float(drug_pair.sum() / total),
         li_target=float(target_pair.sum() / total),

@@ -13,8 +13,6 @@ is new: S2 (new drug, training target), S3 (training drug, new target),
 S4 (both new). A query with two training indices is the transductive
 setting and is rejected. New entities are described by a similarity
 profile against the training entities of their side.
-
-Fits assume a dataset that ``validate_dataset`` accepts.
 """
 
 from __future__ import annotations
@@ -164,34 +162,31 @@ class _NeighborPredictor:
         return float(self.predict_s4(dp[None, :], tp[None, :])[0, 0])
 
 
-def _recover_rows(idx, sims, labels, owner, other, eta, transpose=False):
-    """Rebuild each row of ``labels`` from the rows of its ranked neighbors.
+def _recover_rows(idx, sims, owner, other, width, eta, transpose=False):
+    """Rebuild each row of binary labels from the rows of its ranked neighbors.
 
-    Row i becomes sum_a eta^a * sims[i, a] * labels[idx[i, a], :] / sum_a sims[i, a]
+    The labels are n x ``width``: 1 at the pairs ``(owner, other)``, sorted
+    by owner row, and 0 elsewhere. Row i becomes
+    sum_a eta^a * sims[i, a] * labels[idx[i, a], :] / sum_a sims[i, a]
     over ranks a, for ``(idx, sims)`` as ``neighbor_table`` gives them. A row
     with no neighbor similarity (no neighbors, or all of similarity 0)
     recovers to zero; the max with Y in ``fit_wknnir`` keeps the original.
-    With ``transpose`` the result is written as ``labels.T``, C-ordered.
+    With ``transpose`` the result is written transposed, C-ordered.
 
-    ``(owner, other)`` are the nonzero entries of ``labels``, sorted by
-    owner row, and only they are visited. A zero label adds a signed zero
-    to the dense sum, which starts at +0.0 and so never changes by it.
-    One ``np.bincount`` adds every term: it adds in input order from +0.0,
-    and the terms come rank by rank, each cell at most once per rank, so
-    each cell gets the same additions in the same order as ``_decay_scores``
-    on the dense labels, and the result is bit-identical. That holds for
-    finite similarities; ``load_dataset`` rejects others, so only a
-    hand-built ``DtiDataset`` could differ (inf * 0.0 is NaN in the dense sum).
+    Only the pairs are visited, each adding its neighbor weight times 1; a
+    0 label would add +0.0 to a sum that starts at +0.0. One ``np.bincount``
+    adds every term in input order, rank by rank and each cell at most once
+    per rank, so the result is bit-identical to ``_decay_scores`` on dense labels.
     """
-    n, width = labels.shape
-    start = np.searchsorted(owner, np.arange(n + 1))  # row h holds entries start[h]:start[h + 1]
+    n = idx.shape[0]
+    start = np.searchsorted(owner, np.arange(n + 1))  # row h holds pairs start[h]:start[h + 1]
     h = idx.T.ravel()  # rank-major: every row's first neighbor, then every row's second, ...
     count = np.diff(start)[h]
-    # Slot (a, u) holds row h = idx[u, a]: each entry e of row h adds one term to row u.
+    # Slot (a, u) holds row h = idx[u, a]: each pair e of row h adds one term to row u.
     e = np.arange(count.sum()) + np.repeat(start[h] - np.cumsum(count) + count, count)
     u = np.repeat(np.tile(np.arange(n), idx.shape[1]), count)
     cells = other[e] * n + u if transpose else u * width + other[e]
-    terms = np.repeat(_rank_weights(sims, eta).T.ravel(), count) * labels[owner, other][e]
+    terms = np.repeat(_rank_weights(sims, eta).T.ravel(), count)
     num = np.bincount(cells, terms, minlength=n * width).astype(float, copy=False)  # int64 when there are no terms
     z = np.zeros(n)
     for a in range(idx.shape[1]):
@@ -251,8 +246,8 @@ def fit_wknnir(ds: DtiDataset, k: int, eta: float) -> WkNNIRModel:
     Y = ds.interactions
     rows, cols = ds._pairs
     by_col = np.argsort(cols, kind="stable")
-    y_drug_raw = _recover_rows(*neighbor_table(ds.drug_sim, k), Y, rows, cols, eta)
-    y_target_raw = _recover_rows(*neighbor_table(ds.target_sim, k), Y.T, cols[by_col], rows[by_col], eta, transpose=True)
+    y_drug_raw = _recover_rows(*neighbor_table(ds.drug_sim, k), rows, cols, ds.m, eta)
+    y_target_raw = _recover_rows(*neighbor_table(ds.target_sim, k), cols[by_col], rows[by_col], ds.n, eta, transpose=True)
     report = _clamped_report(ds, k)
     # Without imbalance evidence both sides count as balanced.
     li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)

@@ -62,11 +62,11 @@ def varied_dataset(rng):
     """A hand-built dataset from the corners the sparse kernels must match.
 
     Sides of 1 to 24 entities; similarities either distinct or quantised to
-    a few levels (tie-heavy), with some all-zero rows; labels binary or
-    non-binary in [0, 1], with all-zero rows and columns and negative
-    zeros mixed in. Some labels are passed Fortran-ordered, which the
-    dataset stores C-ordered, so they check that the layout is normalised.
-    A third of the datasets are subsets taken in a shuffled order.
+    a few levels (tie-heavy), with some all-zero rows; binary labels with
+    all-zero rows and columns, some passed with negative zeros, which the
+    dataset stores as +0.0. Some labels are passed Fortran-ordered, which
+    the dataset stores C-ordered, so they check that the layout is
+    normalised. A third of the datasets are subsets taken in a shuffled order.
     """
     n, m = int(rng.integers(1, 25)), int(rng.integers(1, 25))
 
@@ -82,8 +82,6 @@ def varied_dataset(rng):
         return a
 
     Y = (rng.random((n, m)) < rng.random()).astype(float)
-    if rng.random() < 0.3:
-        Y *= np.round(rng.random((n, m)) * 4) / 4
     if rng.random() < 0.3:
         Y[rng.integers(n), :] = 0.0
         Y[:, rng.integers(m)] = 0.0

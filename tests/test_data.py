@@ -10,6 +10,7 @@ import pytest
 from wknnir import (
     DatasetError,
     DtiDataset,
+    fit_wknnir,
     load_dataset,
     save_dataset,
     subset,
@@ -34,6 +35,29 @@ class TestDtiDataset:
 
     def test_dims(self, f1):
         assert (f1.n, f1.m) == (3, 2)
+
+    def test_negative_zeros_stored_as_positive(self):
+        base = random_dataset(7, 6, seed=5)
+        drug_sim, target_sim = base.drug_sim.copy(), base.target_sim.copy()
+        drug_sim[0, 1:3] = drug_sim[1:3, 0] = 0.0
+        target_sim[2, 4] = target_sim[4, 2] = 0.0
+
+        def build(zero):
+            return make_dataset(*(np.where(a == 0.0, zero, a) for a in (drug_sim, target_sim, base.interactions)))
+
+        pos, neg = build(0.0), build(-0.0)
+        for name in ("drug_sim", "target_sim", "interactions"):
+            assert not np.signbit(getattr(neg, name)).any()
+            assert getattr(neg, name).tobytes() == getattr(pos, name).tobytes()
+        rng = np.random.default_rng(6)
+        dp, tp = rng.random((4, 7)), rng.random((3, 6))
+        for k, eta in [(1, 0.5), (3, 0.8), (9, 1.0)]:
+            a, b = fit_wknnir(pos, k, eta), fit_wknnir(neg, k, eta)
+            for name in ("y_drug", "y_target", "y_joint", "li_drug", "li_target"):
+                assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes()
+            assert a.predict_s2(dp).tobytes() == b.predict_s2(dp).tobytes()
+            assert a.predict_s3(tp).tobytes() == b.predict_s3(tp).tobytes()
+            assert a.predict_s4(dp, tp).tobytes() == b.predict_s4(dp, tp).tobytes()
 
     def test_subset_preserves_order(self, f1):
         sub = subset(f1, [2, 0], [1])
@@ -138,66 +162,95 @@ class TestDtiDataset:
         np.testing.assert_array_equal(sub.interactions, ds.interactions[np.ix_(np.asarray(drugs, dtype=int), np.asarray(targets, dtype=int))])
 
 
+def raises_only(message):
+    """``DtiDataset(...)`` raises with exactly this one error message."""
+    return pytest.raises(DatasetError, match=f"^{re.escape(message)}$")
+
+
 class TestValidateDataset:
+    """Building a dataset raises on every error ``validate_dataset`` finds and warns on asymmetry."""
+
     def test_valid_fixture_is_clean(self, f1):
         assert validate_dataset(f1) == []
 
     def test_bad_diagonal_is_error(self):
         sim = [[0.9, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.0]]
-        findings = validate_dataset(make_dataset(sim, F1_TARGET_SIM, F1_INTERACTIONS))
-        assert [f.severity for f in findings] == ["error"]
-        assert "diagonal" in findings[0].message
+        with raises_only("drug similarity diagonal not 1 at index 0 (and 0 more)"):
+            make_dataset(sim, F1_TARGET_SIM, F1_INTERACTIONS)
 
     def test_asymmetry_is_warning(self):
         sim = [[1.0, 0.8, 0.2], [0.7, 1.0, 0.4], [0.2, 0.4, 1.0]]
-        findings = validate_dataset(make_dataset(sim, F1_TARGET_SIM, F1_INTERACTIONS))
+        with pytest.warns(UserWarning, match="asymmetric") as caught:
+            ds = make_dataset(sim, F1_TARGET_SIM, F1_INTERACTIONS)
+        assert len(caught) == 1
+        findings = validate_dataset(ds)
         assert [f.severity for f in findings] == ["warning"]
-        assert "asymmetric" in findings[0].message
+        assert findings[0].message == str(caught[0].message)
 
     def test_out_of_range_similarity(self):
         sim = [[1.0, 1.2, 0.2], [1.2, 1.0, 0.4], [0.2, 0.4, 1.0]]
-        findings = validate_dataset(make_dataset(sim, F1_TARGET_SIM, F1_INTERACTIONS))
-        assert any(f.severity == "error" and "[0, 1]" in f.message for f in findings)
+        with raises_only("drug similarity values outside [0, 1]"):
+            make_dataset(sim, F1_TARGET_SIM, F1_INTERACTIONS)
 
     def test_non_binary_interactions(self):
-        findings = validate_dataset(make_dataset(F1_DRUG_SIM, F1_TARGET_SIM, [[1, 0.5], [0, 1], [1, 1]]))
-        assert any("non-binary" in f.message for f in findings)
+        with raises_only("non-binary interaction values"):
+            make_dataset(F1_DRUG_SIM, F1_TARGET_SIM, [[1, 0.5], [0, 1], [1, 1]])
 
     def test_duplicate_ids(self):
-        ds = DtiDataset(("a", "a", "b"), ("t0", "t1"), F1_DRUG_SIM, F1_TARGET_SIM, F1_INTERACTIONS)
-        assert any("duplicate drug" in f.message for f in validate_dataset(ds))
+        with raises_only("duplicate drug IDs"):
+            DtiDataset(("a", "a", "b"), ("t0", "t1"), F1_DRUG_SIM, F1_TARGET_SIM, F1_INTERACTIONS)
 
     def test_shape_mismatch(self):
-        ds = DtiDataset(("a", "b"), ("t0", "t1"), [[1, 0.5], [0.5, 1]], F1_TARGET_SIM, [[1, 0], [0, 1], [1, 1]])
-        assert any(f.severity == "error" for f in validate_dataset(ds))
+        with raises_only("interaction matrix shape (3, 2) does not match (n, m) = (2, 2)"):
+            DtiDataset(("a", "b"), ("t0", "t1"), [[1, 0.5], [0.5, 1]], F1_TARGET_SIM, [[1, 0], [0, 1], [1, 1]])
 
     def test_duplicate_target_ids(self):
-        ds = DtiDataset(("d0", "d1", "d2"), ("t", "t"), F1_DRUG_SIM, F1_TARGET_SIM, F1_INTERACTIONS)
-        assert [f.message for f in validate_dataset(ds)] == ["duplicate target IDs"]
+        with raises_only("duplicate target IDs"):
+            DtiDataset(("d0", "d1", "d2"), ("t", "t"), F1_DRUG_SIM, F1_TARGET_SIM, F1_INTERACTIONS)
 
     @pytest.mark.parametrize("side", ["drug", "target"])
     def test_non_square_similarity(self, side):
         sims = {"drug": F1_DRUG_SIM, "target": F1_TARGET_SIM, side: np.ones((2, 3))}
-        ds = DtiDataset(("d0", "d1", "d2"), ("t0", "t1"), sims["drug"], sims["target"], F1_INTERACTIONS)
-        findings = validate_dataset(ds)
-        assert [f.message for f in findings] == [f"{side} similarity matrix is not square: shape (2, 3)"]
+        with raises_only(f"{side} similarity matrix is not square: shape (2, 3)"):
+            DtiDataset(("d0", "d1", "d2"), ("t0", "t1"), sims["drug"], sims["target"], F1_INTERACTIONS)
 
     @pytest.mark.parametrize("side", ["drug", "target"])
     def test_wrong_size_similarity(self, side):
         sims = {"drug": F1_DRUG_SIM, "target": F1_TARGET_SIM, side: np.eye(4)}
-        ds = DtiDataset(("d0", "d1", "d2"), ("t0", "t1"), sims["drug"], sims["target"], F1_INTERACTIONS)
         count = 3 if side == "drug" else 2
-        findings = validate_dataset(ds)
-        assert [f.message for f in findings] == [f"{side} similarity side 4 does not match {side} count {count}"]
+        with raises_only(f"{side} similarity side 4 does not match {side} count {count}"):
+            DtiDataset(("d0", "d1", "d2"), ("t0", "t1"), sims["drug"], sims["target"], F1_INTERACTIONS)
 
     @pytest.mark.parametrize("n,m", [(0, 2), (3, 0)])
     def test_empty_side(self, n, m):
-        ds = DtiDataset(
-            tuple(f"d{i}" for i in range(n)), tuple(f"t{j}" for j in range(m)), np.eye(n), np.eye(m), np.zeros((n, m))
-        )
-        findings = validate_dataset(ds)
-        assert [f.severity for f in findings] == ["error"]
-        assert f"(n={n}, m={m})" in findings[0].message
+        with raises_only(f"dataset must have at least one drug and one target (n={n}, m={m})"):
+            DtiDataset(
+                tuple(f"d{i}" for i in range(n)), tuple(f"t{j}" for j in range(m)), np.eye(n), np.eye(m), np.zeros((n, m))
+            )
+
+    # Datasets on which the one-entity rule for recovery once moved scores;
+    # none of them can be built now.
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 1), (1, 1)])
+    def test_non_binary_labels_on_a_one_entity_side(self, n, m):
+        ds = random_dataset(n, m, seed=n * 10 + m)
+        with raises_only("non-binary interaction values"):
+            make_dataset(ds.drug_sim, ds.target_sim, ds.interactions * 0.5)
+
+    @pytest.mark.parametrize("side", ["drug", "target"])
+    def test_one_nan_similarity(self, side):
+        ds = random_dataset(4, 5, seed=3)
+        sims = {"drug": ds.drug_sim.copy(), "target": ds.target_sim.copy()}
+        sims[side][1, 2] = np.nan
+        with raises_only(f"{side} similarity values outside [0, 1]"):
+            make_dataset(sims["drug"], sims["target"], ds.interactions)
+
+    @pytest.mark.parametrize("side", ["drug", "target"])
+    def test_similarities_in_minus_one_to_one(self, side):
+        ds = random_dataset(4, 5, seed=4)
+        sims = {"drug": ds.drug_sim, "target": ds.target_sim}
+        sims[side] = 2.0 * sims[side] - 1.0  # symmetric, diagonal still 1
+        with raises_only(f"{side} similarity values outside [0, 1]"):
+            make_dataset(sims["drug"], sims["target"], ds.interactions)
 
 
 class TestLoadDataset:
