@@ -115,7 +115,7 @@ def cmd_validate(args) -> int:
 def cmd_stats(args) -> int:
     ds = _load(args)
     report = imbalance_report(ds, args.k)
-    count = int(round(float(ds.interactions.sum())))
+    count = int(ds.interactions.sum())
     sparsity = Fraction(count, ds.n * ds.m)  # exact; the published values are rounded displays of it
     payload = {
         "n": ds.n,

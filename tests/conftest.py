@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wknnir import DtiDataset, subset
+import exact
 
 # 3 drugs x 2 targets, small enough to enumerate every quantity by hand.
 F1_DRUG_SIM = [[1.0, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.0]]
@@ -93,3 +94,10 @@ def varied_dataset(rng):
     if rng.random() < 1 / 3:
         ds = subset(ds, rng.permutation(n)[: rng.integers(1, n + 1)], rng.permutation(m)[: rng.integers(1, m + 1)])
     return ds
+
+
+def pytest_terminal_summary(terminalreporter):
+    """The largest distance from the exact referee per formula, which a change to output bits quotes."""
+    if exact.WORST:
+        worst = ", ".join(f"{formula} {ulps:.2f}" for formula, ulps in sorted(exact.WORST.items()))
+        terminalreporter.write_line(f"max ulp from the exact referee: {worst}")

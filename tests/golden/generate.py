@@ -9,7 +9,9 @@ float64 score array to ``scores.npz`` and the output bytes of the CLI
 commands in ``CLI_RUNS`` under ``cli/``, all next to this file.
 ``tests/test_golden.py`` recomputes everything with the same functions
 and compares bit for bit. Regenerate only when output changes on
-purpose, and say in CHANGES.md which entries moved and by how much.
+purpose, and say in CHANGES.md which entries moved and by how much. Quote
+too, for each formula, the largest ulp distance from the exact referee
+(``tests/exact.py``) before and after: a tier-1 run prints it at its end.
 """
 
 from __future__ import annotations

@@ -46,8 +46,8 @@ from wknnir import (
 )
 from wknnir.cli import main
 from conftest import random_dataset
-from test_evaluation import oracle_aupr
 from test_neighbors import assert_matches_oracle
+import exact
 
 DATASETS = ("nr", "ic", "gpcr", "e")
 DATA_ENV = "WKNNIR_DATA_DIR"
@@ -267,9 +267,10 @@ class TestFormulaReductions:
             baseline = fit_wknn(ds, 3, 0.7)
             rng = np.random.default_rng(seed + 1000)
             dp, tp = rng.random((4, 8)), rng.random((4, 7))
-            np.testing.assert_allclose(reduced.predict_s2(dp), baseline.predict_s2(dp), atol=1e-12)
-            np.testing.assert_allclose(reduced.predict_s3(tp), baseline.predict_s3(tp), atol=1e-12)
-            np.testing.assert_allclose(reduced.predict_s4(dp, tp), baseline.predict_s4(dp, tp), atol=1e-12)
+            # Both run the same kernels with r = 1 exactly, so the bytes agree.
+            assert reduced.predict_s2(dp).tobytes() == baseline.predict_s2(dp).tobytes()
+            assert reduced.predict_s3(tp).tobytes() == baseline.predict_s3(tp).tobytes()
+            assert reduced.predict_s4(dp, tp).tobytes() == baseline.predict_s4(dp, tp).tobytes()
 
     @pytest.mark.parametrize("method", ["wknn", "wknnir"])
     def test_single_member_full_ratio_ensemble_equals_base(self, method):
@@ -280,9 +281,10 @@ class TestFormulaReductions:
             ens = train_ensemble(ds, lambda sub: factory(sub, 3, 0.8), 1, 1.0, SamplingStrategy("uniform"), seed=seed)
             rng = np.random.default_rng(seed + 2000)
             dp, tp = rng.random((3, 8)), rng.random((3, 7))
-            np.testing.assert_allclose(ens.predict_s2(dp), base.predict_s2(dp), atol=1e-12)
-            np.testing.assert_allclose(ens.predict_s3(tp), base.predict_s3(tp), atol=1e-12)
-            np.testing.assert_allclose(ens.predict_s4(dp, tp), base.predict_s4(dp, tp), atol=1e-12)
+            # One member holds every entity, so each average divides one score by 1.
+            assert ens.predict_s2(dp).tobytes() == base.predict_s2(dp).tobytes()
+            assert ens.predict_s3(tp).tobytes() == base.predict_s3(tp).tobytes()
+            assert ens.predict_s4(dp, tp).tobytes() == base.predict_s4(dp, tp).tobytes()
 
 
 class TestOracleAgreement:
@@ -304,7 +306,7 @@ class TestOracleAgreement:
             labels = (rng.random(size) < 0.4).astype(float)
             if labels.sum() == 0:
                 labels[rng.integers(size)] = 1.0
-            assert abs(aupr(scores, labels) - oracle_aupr(scores, labels)) <= 1e-12
+            exact.check(aupr(scores, labels), exact.aupr(scores, labels), "aupr")
 
 
 class TestSamplingSimplex:

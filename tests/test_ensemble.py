@@ -17,7 +17,8 @@ from wknnir import (
     train_ensemble,
 )
 from wknnir import ensemble as ensemble_module
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, varied_dataset
+import exact
 from golden import generate
 
 
@@ -60,6 +61,15 @@ class TestSamplingProbabilities:
                 assert p.shape == (side,)
                 assert np.all(p >= 0)
                 assert abs(p.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["uniform", "global", "local"])
+    def test_matches_exact_weights(self, kind):
+        rng = np.random.default_rng(["uniform", "global", "local"].index(kind))
+        for _ in range(60):
+            ds, sigma, k = varied_dataset(rng), float(rng.choice([0.0, 0.1, rng.random()])), int(rng.integers(1, 6))
+            got = sampling_probabilities(ds, SamplingStrategy(kind, sigma, k))
+            for side, want in zip(got, exact.sampling_weights(ds, kind, sigma, k)):
+                exact.check(side, want, "els")
 
     def test_uniform_is_exactly_flat(self, f1):
         p_drug, p_target = sampling_probabilities(f1, SamplingStrategy("uniform"))
@@ -449,31 +459,15 @@ class TestSelectiveAveraging:
         ds = random_dataset(10, 9, seed=8)
         ens = train_ensemble(ds, lambda sub: fit_wknn(sub, 2, 0.8), 8, 0.7, SamplingStrategy("uniform"), seed=1)
         profiles = np.random.default_rng(9).random((3, 10))
-        got = ens.predict_s2(profiles)
-        for v in range(ds.m):
-            hits = [m for m in ens.members if v in m.target_subset]
-            if not hits:
-                continue
-            expected = np.zeros(3)
-            for mem in hits:
-                local = int(np.flatnonzero(mem.target_subset == v)[0])
-                expected += mem.model.predict_s2(profiles[:, mem.drug_subset])[:, local]
-            np.testing.assert_allclose(got[:, v], expected / len(hits), atol=1e-12)
+        want = exact.Ensemble(ds, ens.members, 2, 0.8, recover=False)
+        exact.check(ens.predict_s2(profiles), want.predict_s2(profiles), "ensemble")
 
     def test_covered_rows_average_only_contributing_members(self):
         ds = random_dataset(9, 10, seed=10)
         ens = train_ensemble(ds, lambda sub: fit_wknn(sub, 2, 0.8), 8, 0.7, SamplingStrategy("uniform"), seed=1)
         profiles = np.random.default_rng(11).random((3, 10))
-        got = ens.predict_s3(profiles)
-        for u in range(ds.n):
-            hits = [m for m in ens.members if u in m.drug_subset]
-            if not hits:
-                continue
-            expected = np.zeros(3)
-            for mem in hits:
-                local = int(np.flatnonzero(mem.drug_subset == u)[0])
-                expected += mem.model.predict_s3(profiles[:, mem.target_subset])[:, local]
-            np.testing.assert_allclose(got[:, u], expected / len(hits), atol=1e-12)
+        want = exact.Ensemble(ds, ens.members, 2, 0.8, recover=False)
+        exact.check(ens.predict_s3(profiles), want.predict_s3(profiles), "ensemble")
 
     def _ensemble_missing_target(self, ds, v):
         # Hand-built members that all skipped target v.

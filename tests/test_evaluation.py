@@ -26,23 +26,7 @@ from wknnir import (
     tuned_learner,
 )
 from conftest import load_datagen, make_dataset, random_dataset
-
-
-def oracle_aupr(scores, labels):
-    """Explicit confusion-matrix sweep over unique score thresholds."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    total_pos = labels.sum()
-    area = 0.0
-    prev_recall = 0.0
-    for t in np.unique(scores)[::-1]:
-        predicted = scores >= t
-        tp = float(np.sum(predicted & (labels == 1)))
-        precision = tp / predicted.sum()
-        recall = tp / total_pos
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return area
+import exact
 
 
 def stable_aupr(scores, labels):
@@ -94,7 +78,7 @@ class TestAupr:
             labels = (rng.random(size) < 0.4).astype(float)
             if labels.sum() == 0:
                 labels[rng.integers(size)] = 1.0
-            assert abs(aupr(scores, labels) - oracle_aupr(scores, labels)) <= 1e-12
+            exact.check(aupr(scores, labels), exact.aupr(scores, labels), "aupr")
 
     def test_matches_oracle_without_ties(self):
         rng = np.random.default_rng(1)
@@ -104,7 +88,7 @@ class TestAupr:
             labels = (rng.random(size) < 0.4).astype(float)
             if labels.sum() == 0:
                 labels[rng.integers(size)] = 1.0
-            assert abs(aupr(scores, labels) - oracle_aupr(scores, labels)) <= 1e-12
+            exact.check(aupr(scores, labels), exact.aupr(scores, labels), "aupr")
 
     def test_bits_do_not_depend_on_the_order_of_ties(self):
         # Tie-heavy scores up to past a cv-fixed fold's size; the default sort orders ties

@@ -5,18 +5,26 @@ The fixture under ``tests/golden/`` is written by
 same functions. Unlike a rerun check, it catches a change that moves
 output the same way on every run.
 
-The stored bits were made with numpy 2.4 on x86-64 with AVX-512, where
-numpy's SIMD ``power`` can round differently from the C library's
-``pow``. The fixture sticks to eta in {0.5, 1.0}, whose integer powers
-are exact everywhere, but the wknnir S4 decay at eta = 0.5 has
-fractional exponents: on a platform that rounds those differently,
-regenerate the fixture there before comparing a refactor.
+The stored bytes depend on numpy's SIMD dispatch: they were made with
+numpy 2.4 on x86-64 with AVX-512, where numpy's SIMD ``power`` can round
+differently from the C library's ``pow``. The fixture sticks to eta in
+{0.5, 1.0}, whose integer powers are exact everywhere, but the wknnir S4
+decay at eta = 0.5 has fractional exponents, and without AVX-512 some of
+those entries move in the last bit. The ulp bound does not depend on the
+dispatch: ``test_entries_within_ulp_of_exact`` holds every stored and
+every freshly computed score within its formula's bound of the exact
+referee (``tests/exact.py``), on either path. On a platform that rounds
+differently, that test still passes; regenerate the fixture there before
+comparing a refactor bit for bit.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
 
 from golden import generate
+import exact
 
 STORED = dict(np.load(generate.SCORES))
 
@@ -43,6 +51,21 @@ def test_scores_are_bit_identical(name):
     assert got.keys() == want.keys()
     bad = {key: _mismatch(got[key], want[key]) for key in got if got[key].tobytes() != want[key].tobytes()}
     assert not bad, bad
+
+
+@pytest.mark.parametrize("name", generate.DATASETS)
+def test_entries_within_ulp_of_exact(name):
+    ds, fresh = generate.make_dataset(name), generate.score_arrays(name)
+    dp, tp = generate.query_profiles(name, ds.n), generate.query_profiles(name, ds.m)
+    for method, k, eta in product(generate.METHODS, generate.K_VALUES, generate.ETA_VALUES):
+        if method == "ensemble":
+            want, formulas = exact.Ensemble(ds, generate.fit(ds, method, k, eta).members, k, eta), ["ensemble"] * 3
+        else:
+            want, formulas = exact.Model(ds, k, eta, recover=method == "wknnir"), ["s2s3", "s2s3", "s4"]
+        scores = want.predict_s2(dp), want.predict_s3(tp), want.predict_s4(dp, tp)
+        for setting, exact_scores, formula in zip(("S2", "S3", "S4"), scores, formulas):
+            for arrays in (STORED, fresh):
+                exact.check(arrays[f"{name}/{method}/k{k}/eta{eta}/{setting}"], exact_scores, formula)
 
 
 @pytest.mark.parametrize("name", generate.DATASETS)

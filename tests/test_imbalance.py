@@ -1,4 +1,4 @@
-"""Local-imbalance quantities against naive per-pair enumeration."""
+"""Local-imbalance quantities against the exact referee (``tests/exact.py``)."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from wknnir import imbalance_report, subset
 from wknnir.neighbors import neighbor_table
 from conftest import load_datagen, make_dataset, random_dataset, varied_dataset
+import exact
 
 
 def dense_pair_imbalance(ds, k):
@@ -37,50 +38,13 @@ def dense_report(ds, k):
     }
 
 
-def pair_local_imbalance(ds, i, j, k, side):
-    """One entry of the dense pair-imbalance matrix of one side."""
-    drug_pair, target_pair = dense_pair_imbalance(ds, k)
-    return float((drug_pair if side == "drug" else target_pair)[i, j])
-
-
-def dataset_local_imbalance(ds, k):
-    report = imbalance_report(ds, k)
-    return report.li_drug, report.li_target
-
-
-def entity_importance(ds, k):
-    report = imbalance_report(ds, k)
-    return report.drug_importance, report.target_importance
-
-
-def oracle_neighbors(sim, i, k):
-    order = sorted((h for h in range(sim.shape[0]) if h != i), key=lambda h: (-sim[i, h], h))
-    return order[:k]
-
-
-def oracle_pair(ds, i, j, k, side):
-    Y = ds.interactions
-    if side == "drug":
-        nbr = oracle_neighbors(ds.drug_sim, i, k)
-        return sum(Y[h, j] != Y[i, j] for h in nbr) / k
-    nbr = oracle_neighbors(ds.target_sim, j, k)
-    return sum(Y[i, h] != Y[i, j] for h in nbr) / k
-
-
-def oracle_dataset_li(ds, k):
-    Y = ds.interactions
-    pairs = [(i, j) for i in range(ds.n) for j in range(ds.m) if Y[i, j] == 1]
-    li_d = sum(oracle_pair(ds, i, j, k, "drug") for i, j in pairs) / len(pairs)
-    li_t = sum(oracle_pair(ds, i, j, k, "target") for i, j in pairs) / len(pairs)
-    return li_d, li_t
-
-
 class TestPairLocalImbalance:
     def test_f1_hand_values(self, f1):
+        drug_pair, _ = dense_pair_imbalance(f1, 1)
         # d0's nearest drug is d1; labels for t0 disagree
-        assert pair_local_imbalance(f1, 0, 0, 1, "drug") == 1.0
+        assert drug_pair[0, 0] == 1.0
         # d2's nearest drug is d1; labels for t1 agree
-        assert pair_local_imbalance(f1, 2, 1, 1, "drug") == 0.0
+        assert drug_pair[2, 1] == 0.0
 
     def test_constant_column_gives_zero(self):
         # Three targets, so that k=2 is in range on both sides.
@@ -89,24 +53,22 @@ class TestPairLocalImbalance:
             [[1.0, 0.4, 0.2], [0.4, 1.0, 0.6], [0.2, 0.6, 1.0]],
             [[1, 0, 1], [1, 1, 0], [1, 0, 0]],
         )
-        for i in range(3):
-            assert pair_local_imbalance(ds, i, 0, 2, "drug") == 0.0
+        assert np.all(dense_pair_imbalance(ds, 2)[0][:, 0] == 0.0)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(11)
         for seed in range(20):
             ds = random_dataset(8, 6, seed)
             k = int(rng.integers(1, 5))
-            i = int(rng.integers(8))
-            j = int(rng.integers(6))
-            for side in ("drug", "target"):
-                assert pair_local_imbalance(ds, i, j, k, side) == oracle_pair(ds, i, j, k, side)
+            want = exact.imbalance(ds, k)
+            for got, pairs in zip(dense_pair_imbalance(ds, k), (want.drug_pair, want.target_pair)):
+                exact.check(got[tuple(zip(*pairs))], list(pairs.values()), "li")
 
     def test_is_multiple_of_one_over_k(self):
         for seed in range(10):
             ds = random_dataset(7, 7, seed)
             for k in (1, 2, 3):
-                value = pair_local_imbalance(ds, 3, 4, k, "drug")
+                value = dense_pair_imbalance(ds, k)[0][3, 4]
                 assert 0 <= value <= 1
                 assert (value * k) == int(round(value * k))
 
@@ -133,16 +95,15 @@ class TestPairLocalImbalance:
 
 class TestDatasetLocalImbalance:
     def test_f1_hand_values(self, f1):
-        li_d, li_t = dataset_local_imbalance(f1, 1)
-        assert li_d == 0.75
-        assert li_t == 0.5
+        report = imbalance_report(f1, 1)
+        assert report.li_drug == 0.75
+        assert report.li_target == 0.5
 
     def test_matches_oracle(self):
         for seed in range(15):
             ds = random_dataset(9, 7, seed)
-            got = dataset_local_imbalance(ds, 3)
-            want = oracle_dataset_li(ds, 3)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            got, want = imbalance_report(ds, 3), exact.imbalance(ds, 3)
+            exact.check([got.li_drug, got.li_target], [want.li_drug, want.li_target], "li")
 
     def test_no_interactions_error(self):
         ds = make_dataset(
@@ -151,33 +112,28 @@ class TestDatasetLocalImbalance:
             [[0, 0], [0, 0]],
         )
         with pytest.raises(ValueError, match="no interactions"):
-            dataset_local_imbalance(ds, 1)
+            imbalance_report(ds, 1)
 
     def test_in_unit_interval(self):
         for seed in range(10):
             ds = random_dataset(10, 8, seed, density=0.5)
-            li_d, li_t = dataset_local_imbalance(ds, 4)
-            assert 0 <= li_d <= 1
-            assert 0 <= li_t <= 1
+            report = imbalance_report(ds, 4)
+            assert 0 <= report.li_drug <= 1
+            assert 0 <= report.li_target <= 1
 
 
 class TestEntityImportance:
     def test_f1_hand_values(self, f1):
-        drug_imp, target_imp = entity_importance(f1, 1)
-        np.testing.assert_array_equal(drug_imp, [1, 1, 1])
-        np.testing.assert_array_equal(target_imp, [1, 1])
+        report = imbalance_report(f1, 1)
+        np.testing.assert_array_equal(report.drug_importance, [1, 1, 1])
+        np.testing.assert_array_equal(report.target_importance, [1, 1])
 
     def test_matches_oracle(self):
         for seed in range(10):
             ds = random_dataset(8, 6, seed)
-            drug_imp, target_imp = entity_importance(ds, 2)
-            Y = ds.interactions
-            for i in range(8):
-                want = sum(oracle_pair(ds, i, j, 2, "drug") for j in range(6) if Y[i, j] == 1)
-                np.testing.assert_allclose(drug_imp[i], want, atol=1e-12)
-            for j in range(6):
-                want = sum(oracle_pair(ds, i, j, 2, "target") for i in range(8) if Y[i, j] == 1)
-                np.testing.assert_allclose(target_imp[j], want, atol=1e-12)
+            got, want = imbalance_report(ds, 2), exact.imbalance(ds, 2)
+            exact.check(got.drug_importance, want.drug_importance, "importance")
+            exact.check(got.target_importance, want.target_importance, "importance")
 
     def test_no_interactions_means_zero(self):
         ds = make_dataset(
@@ -185,8 +141,7 @@ class TestEntityImportance:
             [[1.0, 0.4], [0.4, 1.0]],
             [[0, 0], [1, 1], [1, 0]],
         )
-        drug_imp, _ = entity_importance(ds, 1)
-        assert drug_imp[0] == 0.0
+        assert imbalance_report(ds, 1).drug_importance[0] == 0.0
 
     def test_all_ones_dataset_gives_zero(self):
         ds = make_dataset(
@@ -194,14 +149,14 @@ class TestEntityImportance:
             [[1.0, 0.4, 0.2], [0.4, 1.0, 0.6], [0.2, 0.6, 1.0]],
             [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
         )
-        drug_imp, target_imp = entity_importance(ds, 2)
-        np.testing.assert_array_equal(drug_imp, [0, 0, 0])
-        np.testing.assert_array_equal(target_imp, [0, 0, 0])
+        report = imbalance_report(ds, 2)
+        np.testing.assert_array_equal(report.drug_importance, [0, 0, 0])
+        np.testing.assert_array_equal(report.target_importance, [0, 0, 0])
 
     def test_bounded_by_row_sum(self):
         for seed in range(10):
             ds = random_dataset(9, 7, seed, density=0.4)
-            drug_imp, _ = entity_importance(ds, 3)
+            drug_imp = imbalance_report(ds, 3).drug_importance
             assert np.all(drug_imp <= ds.interactions.sum(axis=1) + 1e-12)
 
 
@@ -213,12 +168,11 @@ class TestPermutationInvariance:
         permuted = make_dataset(
             ds.drug_sim[np.ix_(perm, perm)], ds.target_sim, ds.interactions[perm]
         )
-        li_before = dataset_local_imbalance(ds, 3)
-        li_after = dataset_local_imbalance(permuted, 3)
-        np.testing.assert_allclose(li_before, li_after, atol=1e-12)
-        imp_before, _ = entity_importance(ds, 3)
-        imp_after, _ = entity_importance(permuted, 3)
-        np.testing.assert_allclose(imp_after, imp_before[perm], atol=1e-12)
+        # The exact values do not depend on the order of the entities.
+        want = exact.imbalance(ds, 3)
+        for got, order in ((imbalance_report(ds, 3), np.arange(8)), (imbalance_report(permuted, 3), perm)):
+            exact.check([got.li_drug, got.li_target], [want.li_drug, want.li_target], "li")
+            exact.check(got.drug_importance, [want.drug_importance[i] for i in order], "importance")
 
 
 class TestImbalanceReport:

@@ -1,4 +1,6 @@
-"""Predictors against naive loop oracles, plus bounds/reduction properties."""
+"""Predictors against the exact referee, ``tests/exact.py``, whose ``BOUNDS``
+state once how many ulps each formula may lie from its exact value; plus
+bounds and reduction properties."""
 
 import numpy as np
 import pytest
@@ -17,43 +19,7 @@ from wknnir.imbalance import _clamped_report
 from wknnir.models import _decay_scores, _normalized, _pair_grid_scores, _recover_rows
 from wknnir.neighbors import neighbor_table, top_k
 from conftest import load_datagen, make_dataset, random_dataset, varied_dataset
-
-
-def oracle_rank(profile, k):
-    order = sorted(range(len(profile)), key=lambda i: (-profile[i], i))
-    return order[: min(k, len(profile))]
-
-
-def oracle_one_side(labels, profile, col, k, eta):
-    """Single-ring score with explicit rank loop; labels indexed [nbr, col]."""
-    nbr = oracle_rank(profile, k)
-    num = sum(eta**rank * profile[i] * labels[i][col] for rank, i in enumerate(nbr))
-    z = sum(profile[i] for i in nbr)
-    return num / z if z > 0 else 0.0
-
-
-def oracle_pair_grid(labels, dprof, tprof, k, eta, r_drug=1.0, r_target=1.0):
-    nd = oracle_rank(dprof, k)
-    nt = oracle_rank(tprof, k)
-    num = 0.0
-    z = 0.0
-    for a, i in enumerate(nd):
-        for b, j in enumerate(nt):
-            num += eta ** ((a + 1) / r_drug + (b + 1) / r_target - 2) * dprof[i] * tprof[j] * labels[i][j]
-            z += dprof[i] * tprof[j]
-    return num / z if z > 0 else 0.0
-
-
-def oracle_recover_rows(sim, Y, k, eta):
-    n, m = Y.shape
-    out = Y.astype(float).copy()
-    for i in range(n):
-        nbr = sorted((h for h in range(n) if h != i), key=lambda h: (-sim[i, h], h))[: min(k, n - 1)]
-        z = sum(sim[i, h] for h in nbr)
-        if z > 0:
-            for j in range(m):
-                out[i, j] = sum(eta**rank * sim[i, h] * Y[h, j] for rank, h in enumerate(nbr)) / z
-    return out
+import exact
 
 
 def dense_recovery(ds, k, eta, lone_keeps_labels=False):
@@ -74,6 +40,13 @@ def dense_recovery(ds, k, eta, lone_keeps_labels=False):
     li_drug, li_target = (0.0, 0.0) if report is None else (report.li_drug, report.li_target)
     y_joint_raw = ((1.0 - li_drug) * y_drug_raw + (1.0 - li_target) * y_target_raw) / 2.0
     return np.maximum(y_drug_raw, Y), np.maximum(y_target_raw, Y), np.maximum(y_joint_raw, Y)
+
+
+def check_scores(model, want, dp, tp):
+    """S2, S3 and S4 scores of ``model`` against the exact ``want`` at profiles ``dp`` and ``tp``."""
+    exact.check(model.predict_s2(dp), want.predict_s2(dp), "s2s3")
+    exact.check(model.predict_s3(tp), want.predict_s3(tp), "s2s3")
+    exact.check(model.predict_s4(dp, tp), want.predict_s4(dp, tp), "s4")
 
 
 def guarded_divide(num, z):
@@ -181,18 +154,7 @@ class TestWkNNPredict:
             ds = random_dataset(8, 6, seed)
             k = int(rng.integers(1, 7))
             eta = float(rng.integers(0, 11)) / 10
-            model = fit_wknn(ds, k, eta)
-            Y = ds.interactions
-            dprof = rng.random(8)
-            tprof = rng.random(6)
-            j = int(rng.integers(6))
-            i = int(rng.integers(8))
-            s2 = model.predict(dprof, j)
-            np.testing.assert_allclose(s2, oracle_one_side(Y, dprof, j, k, eta), atol=1e-12)
-            s3 = model.predict(i, tprof)
-            np.testing.assert_allclose(s3, oracle_one_side(Y.T, tprof, i, k, eta), atol=1e-12)
-            s4 = model.predict(dprof, tprof)
-            np.testing.assert_allclose(s4, oracle_pair_grid(Y, dprof, tprof, k, eta), atol=1e-12)
+            check_scores(fit_wknn(ds, k, eta), exact.Model(ds, k, eta, recover=False), rng.random((2, 8)), rng.random((2, 6)))
 
     def test_s4_k1_equals_nearest_entry(self):
         ds = random_dataset(6, 5, 3)
@@ -200,8 +162,8 @@ class TestWkNNPredict:
         rng = np.random.default_rng(8)
         dprof = rng.random(6) * 0.9 + 0.05
         tprof = rng.random(5) * 0.9 + 0.05
-        i = oracle_rank(dprof, 1)[0]
-        j = oracle_rank(tprof, 1)[0]
+        i = exact.rank(dprof.tolist(), 1)[0]
+        j = exact.rank(tprof.tolist(), 1)[0]
         np.testing.assert_allclose(model.predict(dprof, tprof), ds.interactions[i, j], atol=1e-12)
 
     def test_eta_one_all_ones_column_scores_one(self):
@@ -255,12 +217,12 @@ class TestRecovery:
             ds = random_dataset(7, 6, seed)
             k = int(rng.integers(1, 6))
             eta = float(rng.integers(1, 11)) / 10
-            rec = fit_wknnir(ds, k, eta)
-            Y = ds.interactions
-            want_d = np.maximum(oracle_recover_rows(ds.drug_sim, Y, k, eta), Y)
-            want_t = np.maximum(oracle_recover_rows(ds.target_sim, Y.T, k, eta).T, Y)
-            np.testing.assert_allclose(rec.y_drug, want_d, atol=1e-12)
-            np.testing.assert_allclose(rec.y_target, want_t, atol=1e-12)
+            rec, want = fit_wknnir(ds, k, eta), exact.Model(ds, k, eta)
+            exact.check(rec.y_drug, want.y_drug, "recovery")
+            exact.check(rec.y_target, want.y_target, "recovery")
+            exact.check(rec.y_joint, want.y_joint, "joint")
+            exact.check([rec.li_drug, rec.li_target], [want.li_drug, want.li_target], "li")
+            exact.check([rec.r_drug, rec.r_target], [want.r_drug, want.r_target], "r")
 
     def test_bit_identical_to_dense_kernel(self):
         # Recovery visits only the nonzero labels; the terms it skips are +0.0.
@@ -378,26 +340,7 @@ class TestWkNNIR:
             ds = random_dataset(8, 6, seed)
             k = int(rng.integers(1, 6))
             eta = float(rng.integers(1, 11)) / 10
-            model = fit_wknnir(ds, k, eta)
-            dprof = rng.random(8)
-            tprof = rng.random(6)
-            i = int(rng.integers(8))
-            j = int(rng.integers(6))
-            np.testing.assert_allclose(
-                model.predict(dprof, j),
-                oracle_one_side(model.y_target, dprof, j, k, eta),
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                model.predict(i, tprof),
-                oracle_one_side(model.y_drug.T, tprof, i, k, eta),
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                model.predict(dprof, tprof),
-                oracle_pair_grid(model.y_joint, dprof, tprof, k, eta, model.r_drug, model.r_target),
-                atol=1e-12,
-            )
+            check_scores(fit_wknnir(ds, k, eta), exact.Model(ds, k, eta), rng.random((2, 8)), rng.random((2, 6)))
 
     def test_reduces_to_wknn_under_identity_recovery(self):
         # recovery replaced by the raw matrix and both rank scales at 1
@@ -415,9 +358,8 @@ class TestWkNNIR:
                 j = int(rng.integers(6))
                 i = int(rng.integers(8))
                 for q in ((dprof, j), (i, tprof), (dprof, tprof)):
-                    np.testing.assert_allclose(
-                        reduced.predict(*q), baseline.predict(*q), atol=1e-12
-                    )
+                    # Both run the same kernels with r = 1 exactly.
+                    assert np.float64(reduced.predict(*q)).tobytes() == np.float64(baseline.predict(*q)).tobytes()
 
     @pytest.mark.parametrize("n,m", [(2, 2), (8, 6), (30, 17)])
     def test_wknn_fit_is_identity_recovery_without_copies(self, n, m):

@@ -1,27 +1,15 @@
-"""Neighbor selection against a brute-force full-sort oracle."""
-
-import math
+"""Neighbor selection against the exact referee's full sort (``exact.rank``)."""
 
 import numpy as np
 import pytest
 
 from wknnir import DtiDataset, EnsembleMember, EnsembleModel, subset
 from wknnir.neighbors import neighbor_table, top_k
-
-
-def oracle_knn(sims, k, exclude=()):
-    """Full sort by (-similarity, index), NaN last, then take the first k."""
-
-    def key(i):
-        return (True, 0.0, i) if math.isnan(sims[i]) else (False, -sims[i], i)
-
-    order = sorted((i for i in range(len(sims)) if i not in set(exclude)), key=key)
-    picked = order[: min(k, len(order))]
-    return picked, [sims[i] for i in picked]
+import exact
 
 
 def assert_matches_oracle(sim, k, check_rows=None):
-    """top_k on every row, and neighbor_table with self excluded, vs the oracle.
+    """top_k on every row, and neighbor_table with self excluded, vs ``exact.rank``.
 
     ``check_rows`` limits the rows compared (all by default); the whole
     matrix is still ranked.
@@ -30,15 +18,15 @@ def assert_matches_oracle(sim, k, check_rows=None):
     idx, vals = top_k(sim, k)
     assert idx.shape == vals.shape == (sim.shape[0], min(k, sim.shape[1]))
     for i in rows:
-        want_idx, want_sims = oracle_knn(sim[i].tolist(), k)
-        np.testing.assert_array_equal(idx[i], want_idx)
-        np.testing.assert_array_equal(vals[i], want_sims)
+        want = exact.rank(sim[i].tolist(), k)
+        np.testing.assert_array_equal(idx[i], want)
+        np.testing.assert_array_equal(vals[i], sim[i, want])
     if sim.shape[0] == sim.shape[1] and sim.shape[0] > 1:
         idx, vals = neighbor_table(sim, k)
         for i in rows:
-            want_idx, want_sims = oracle_knn(sim[i].tolist(), k, exclude=(i,))
-            np.testing.assert_array_equal(idx[i], want_idx)
-            np.testing.assert_array_equal(vals[i], want_sims)
+            want = exact.rank(sim[i].tolist(), k, exclude=i)
+            np.testing.assert_array_equal(idx[i], want)
+            np.testing.assert_array_equal(vals[i], sim[i, want])
 
 
 def quantised_similarity(n, seed):
@@ -225,9 +213,9 @@ class TestNeighborTable:
             k = int(rng.integers(1, n))
             idx, sims = neighbor_table(sim, k)
             for i in range(n):
-                want_idx, want_sims = oracle_knn(sim[i].tolist(), k, exclude=(i,))
-                np.testing.assert_array_equal(idx[i], want_idx)
-                np.testing.assert_array_equal(sims[i], want_sims)
+                want = exact.rank(sim[i].tolist(), k, exclude=i)
+                np.testing.assert_array_equal(idx[i], want)
+                np.testing.assert_array_equal(sims[i], sim[i, want])
 
     def test_self_never_included(self):
         rng = np.random.default_rng(1)
