@@ -258,7 +258,9 @@ def write_matrix(path, matrix: np.ndarray, row_ids, col_ids):
     """Write a 2-D matrix as TSV with ID header row and column; the corner cell is empty.
 
     ``ValueError`` if the IDs do not match the shape, hold a tab or line break,
-    or start or end with whitespace: such a file would not read back.
+    or start or end with whitespace: such a file would not read back. Also
+    ``ValueError`` if a cell is NaN or infinite, naming the first such value
+    in row-major order and its row and column IDs.
     """
     matrix, row_ids, col_ids = np.asarray(matrix), list(row_ids), list(col_ids)
     if matrix.ndim != 2 or matrix.shape != (len(row_ids), len(col_ids)):
@@ -266,7 +268,9 @@ def write_matrix(path, matrix: np.ndarray, row_ids, col_ids):
     if bad := [x for x in row_ids + col_ids if "\t" in x or x != x.strip() or "".join(x.splitlines()) != x]:
         raise ValueError(f"ID {bad[0]!r} holds a tab or a line break, or starts or ends with whitespace")
     if (nonfinite := np.flatnonzero(~np.isfinite(matrix))).size:
-        int(matrix.flat[nonfinite[0]].item())  # the first NaN raises ValueError, +-inf OverflowError, as before
+        i, j = divmod(int(nonfinite[0]), matrix.shape[1])
+        value = matrix.flat[nonfinite[0]].item()
+        raise ValueError(f"non-finite value {value!r} at row {row_ids[i]!r}, column {col_ids[j]!r}")
     # Each distinct value is formatted once; 0.0 and -0.0 are one value.
     values, inverse = np.unique(matrix, return_inverse=True)
     text = _format_values(values)

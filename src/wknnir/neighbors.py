@@ -32,7 +32,9 @@ def top_k(similarities: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(indices, similarities)``, each of shape (rows, k') with
     k' = min(k, columns), row i holding its picks best first. Only a row
     whose k-th value is NaN widens its candidates to all its entries.
+    ``ValueError`` unless k is an integer >= 1.
     """
+    _check_count(k, "k")
     rows, cols = similarities.shape
     k = min(k, cols)
     if rows == 0 or k == 0:

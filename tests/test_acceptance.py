@@ -1,4 +1,4 @@
-"""Acceptance suite: reference-value reproduction plus exhaustive property checks.
+"""Acceptance suite: reference-value reproduction.
 
 The reproduction tests need the four gold-standard DTI benchmark datasets
 (NR, IC, GPCR, E). Point the WKNNIR_DATA_DIR environment variable (or a
@@ -10,18 +10,15 @@ are recognized per dataset name:
   {name}_admat_dgc.txt, {name}_simmat_dc.txt, {name}_simmat_dg.txt
       (classic flat layout; interaction matrix rows are targets)
 
-A test whose dataset is missing skips with an explanatory message. The
-property checks at the bottom are self-contained and always run.
+A test whose dataset is missing skips with an explanatory message.
 """
 
 import json
-import math
 import os
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from wknnir import (
@@ -30,24 +27,15 @@ from wknnir import (
     OUTER_FOLDS,
     CvPlan,
     SamplingStrategy,
-    WkNNIRModel,
     base_factory,
     ensemble_factory,
-    fit_wknn,
-    fit_wknnir,
-    aupr,
     imbalance_report,
     run_cv,
-    sampling_probabilities,
     save_dataset,
-    train_ensemble,
     tuned_learner,
     load_dataset,
 )
 from wknnir.cli import main
-from conftest import random_dataset
-from test_neighbors import assert_matches_oracle
-import exact
 
 DATASETS = ("nr", "ic", "gpcr", "e")
 DATA_ENV = "WKNNIR_DATA_DIR"
@@ -202,136 +190,3 @@ class TestReferenceEnsembleAupr:
             if ensemble_cv_mean(name, setting, "local") >= tuned_cv_mean(name, setting, "wknnir"):
                 wins += 1
         assert wins >= 10
-
-
-class TestPredictionBounds:
-    def _queries(self, n, m, seed):
-        rng = np.random.default_rng(seed)
-        return rng.random((600, n)), rng.random((600, m)), rng.random((60, n)), rng.random((50, m))
-
-    def _model(self, method, ds, k, eta):
-        if method == "ensemble":
-            return train_ensemble(
-                ds, lambda sub: fit_wknnir(sub, k, eta), 6, 0.8, SamplingStrategy("local", k=2), seed=3
-            )
-        return base_factory(method)(ds, k, eta)
-
-    def _scored_pairs_in_bounds(self, model, n, m, seed):
-        s2_profiles, s3_profiles, s4_drugs, s4_targets = self._queries(n, m, seed)
-        total = 0
-        for scores in (
-            model.predict_s2(s2_profiles),
-            model.predict_s3(s3_profiles),
-            model.predict_s4(s4_drugs, s4_targets),
-        ):
-            assert np.all(scores >= 0) and np.all(scores <= 1)
-            total += scores.size
-        return total
-
-    @pytest.mark.parametrize("method", ["wknn", "wknnir", "ensemble"])
-    def test_bounds_hold_on_random_queries(self, method):
-        # 600x9 + 600x12 + 60x50 = 13,800 scored pairs per predictor.
-        model = self._model(method, random_dataset(12, 9, seed=100), 3, 0.7)
-        assert self._scored_pairs_in_bounds(model, 12, 9, seed=101) >= 10_000
-        # With almost every label 1 and no decay, each score sits at the
-        # top of its range, where rounding alone can push it above 1.
-        dense = random_dataset(14, 12, seed=102, density=0.95)
-        for k in (5, 8, 9):
-            self._scored_pairs_in_bounds(self._model(method, dense, k, 1.0), 14, 12, seed=103 + k)
-
-
-class TestRecoveryDominance:
-    def test_recovered_matrices_dominate_and_keep_known_interactions(self):
-        cases = [
-            (random_dataset(5 + seed % 6, 4 + seed % 5, seed=seed), 1 + seed % 4, 0.1 + 0.09 * (seed % 10))
-            for seed in range(30)
-        ]
-        # Large k, no decay and almost all ones: where the normalizer must
-        # not round below the numerator.
-        cases += [(random_dataset(14, 12, seed=500 + seed, density=0.95), k, 1.0) for seed in range(20) for k in (8, 9)]
-        for ds, k, eta in cases:
-            rec = fit_wknnir(ds, k, eta)
-            known = ds.interactions == 1
-            for matrix in (rec.y_drug, rec.y_target, rec.y_joint):
-                assert np.all(matrix >= ds.interactions)
-                assert np.all(matrix <= 1.0) and np.all(matrix >= 0.0)
-                assert np.all(matrix[known] == 1.0)
-
-
-class TestFormulaReductions:
-    def test_identity_recovery_reduces_to_baseline(self):
-        for seed in range(10):
-            ds = random_dataset(8, 7, seed=seed)
-            Y = ds.interactions
-            reduced = WkNNIRModel(ds, 3, 0.7, Y, Y, Y, 0.5, 0.5)
-            baseline = fit_wknn(ds, 3, 0.7)
-            rng = np.random.default_rng(seed + 1000)
-            dp, tp = rng.random((4, 8)), rng.random((4, 7))
-            # Both run the same kernels with r = 1 exactly, so the bytes agree.
-            assert reduced.predict_s2(dp).tobytes() == baseline.predict_s2(dp).tobytes()
-            assert reduced.predict_s3(tp).tobytes() == baseline.predict_s3(tp).tobytes()
-            assert reduced.predict_s4(dp, tp).tobytes() == baseline.predict_s4(dp, tp).tobytes()
-
-    @pytest.mark.parametrize("method", ["wknn", "wknnir"])
-    def test_single_member_full_ratio_ensemble_equals_base(self, method):
-        for seed in range(10):
-            ds = random_dataset(8, 7, seed=seed)
-            factory = base_factory(method)
-            base = factory(ds, 3, 0.8)
-            ens = train_ensemble(ds, lambda sub: factory(sub, 3, 0.8), 1, 1.0, SamplingStrategy("uniform"), seed=seed)
-            rng = np.random.default_rng(seed + 2000)
-            dp, tp = rng.random((3, 8)), rng.random((3, 7))
-            # One member holds every entity, so each average divides one score by 1.
-            assert ens.predict_s2(dp).tobytes() == base.predict_s2(dp).tobytes()
-            assert ens.predict_s3(tp).tobytes() == base.predict_s3(tp).tobytes()
-            assert ens.predict_s4(dp, tp).tobytes() == base.predict_s4(dp, tp).tobytes()
-
-
-class TestOracleAgreement:
-    def test_knn_matches_bruteforce_oracle(self):
-        # top_k on every row and neighbor_table (self excluded) on square
-        # matrices, both against a full sort by (-similarity, index).
-        rng = np.random.default_rng(200)
-        for _ in range(1000):
-            size = int(rng.integers(2, 25))
-            rows = size if rng.random() < 0.5 else int(rng.integers(1, 4))
-            sims = rng.integers(0, 6, (rows, size)) / 5.0  # coarse grid forces ties
-            assert_matches_oracle(sims, int(rng.integers(1, size + 1)))
-
-    def test_aupr_matches_bruteforce_oracle(self):
-        rng = np.random.default_rng(201)
-        for _ in range(1000):
-            size = int(rng.integers(2, 35))
-            scores = rng.integers(0, 5, size) / 4.0
-            labels = (rng.random(size) < 0.4).astype(float)
-            if labels.sum() == 0:
-                labels[rng.integers(size)] = 1.0
-            exact.check(aupr(scores, labels), exact.aupr(scores, labels), "aupr")
-
-
-class TestSamplingSimplex:
-    @pytest.mark.parametrize("kind", ["uniform", "global", "local"])
-    def test_probabilities_sum_to_one(self, kind):
-        for seed in range(25):
-            ds = random_dataset(5 + seed % 7, 4 + seed % 6, seed=300 + seed)
-            for p in sampling_probabilities(ds, SamplingStrategy(kind, k=2)):
-                assert np.all(p >= 0)
-                assert abs(p.sum() - 1.0) <= 1e-12
-
-
-class TestDeterminism:
-    def test_cli_cv_runs_are_byte_identical(self, tmp_path):
-        ds = random_dataset(9, 7, seed=400)
-        files = [tmp_path / f"{part}.tsv" for part in ("interactions", "drug_sim", "target_sim")]
-        save_dataset(ds, *files)
-        argv = [
-            "cv",
-            "--interactions", str(files[0]), "--drug-sim", str(files[1]), "--target-sim", str(files[2]),
-            "--setting", "S2", "--method", "wknnir", "--k", "2", "--eta", "0.6",
-            "--ensemble", "els", "--q", "3", "--ratio", "0.9", "--li-k", "2",
-            "--folds", "3", "--reps", "2", "--seed", "5",
-        ]
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(argv + ["--out", str(out_a)]) == 0
-        assert main(argv + ["--out", str(out_b)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()

@@ -141,17 +141,24 @@ class TestCv:
 
     def test_repeat_runs_are_byte_identical(self, data_files, tmp_path, capsys):
         _, paths = data_files
-        argv = [
-            "cv", *dataset_args(paths),
-            "--setting", "S4", "--method", "wknnir", "--k", "2", "--eta", "0.8",
-            "--folds", "2", "--reps", "1", "--seed", "7",
-        ]
-        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(argv + ["--out", str(out_a)])
-        first = capsys.readouterr().out
-        main(argv + ["--out", str(out_b)])
-        assert out_a.read_bytes() == out_b.read_bytes()
-        assert capsys.readouterr().out == first
+        for flags in (
+            [
+                "--setting", "S4", "--method", "wknnir", "--k", "2", "--eta", "0.8",
+                "--folds", "2", "--reps", "1", "--seed", "7",
+            ],
+            [
+                "--setting", "S2", "--method", "wknnir", "--k", "2", "--eta", "0.6",
+                "--ensemble", "els", "--q", "3", "--ratio", "0.9", "--li-k", "2",
+                "--folds", "3", "--reps", "2", "--seed", "5",
+            ],
+        ):
+            argv = ["cv", *dataset_args(paths), *flags]
+            out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert main(argv + ["--out", str(out_a)]) == 0
+            first = capsys.readouterr().out
+            assert main(argv + ["--out", str(out_b)]) == 0
+            assert out_a.read_bytes() == out_b.read_bytes()
+            assert capsys.readouterr().out == first
 
     def test_ensemble_method_label(self, data_files, tmp_path):
         _, paths = data_files

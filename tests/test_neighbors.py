@@ -92,13 +92,16 @@ class TestKnnOracle:
             assert idx.dtype == np.intp and sims.dtype == float
 
     def test_k_below_one(self):
-        with pytest.raises(ValueError, match="k >= 1"):
-            neighbor_table(np.eye(2), 0)
+        for rank in (neighbor_table, top_k):
+            for k in (0, -1):
+                with pytest.raises(ValueError, match="k >= 1"):
+                    rank(np.eye(2), k)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
     def test_k_not_an_integer(self, k):
-        with pytest.raises(ValueError, match="integer k >= 1"):
-            neighbor_table(np.eye(4), k)
+        for rank in (neighbor_table, top_k):
+            with pytest.raises(ValueError, match="integer k >= 1"):
+                rank(np.eye(4), k)
 
     def test_pure_function(self):
         sims = np.array([[0.5, 0.9, 0.1], [0.9, 0.5, 0.2], [0.1, 0.2, 0.5]])
